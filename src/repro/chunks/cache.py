@@ -102,6 +102,8 @@ class SpeculativeCache:
         self.shared_l2 = shared_l2
         self._sets: list[OrderedDict[int, None]] = [
             OrderedDict() for _ in range(self.config.sets)]
+        self._set_mask = self.config.sets - 1
+        self._ways = self.config.ways
         self.hits = 0
         self.l2_hits = 0
         self.memory_accesses = 0
@@ -112,7 +114,7 @@ class SpeculativeCache:
 
         Returns the serving level: ``"l1"``, ``"l2"`` or ``"memory"``.
         """
-        cache_set = self._sets[self.config.set_of(line)]
+        cache_set = self._sets[line & self._set_mask]
         if line in cache_set:
             cache_set.move_to_end(line)
             self.hits += 1
@@ -122,7 +124,7 @@ class SpeculativeCache:
         if self.shared_l2 is not None and self.shared_l2.access(line):
             level = "l2"
         cache_set[line] = None
-        if len(cache_set) > self.config.ways:
+        if len(cache_set) > self._ways:
             cache_set.popitem(last=False)
         if level == "l2":
             self.l2_hits += 1
@@ -137,6 +139,23 @@ class SpeculativeCache:
             del cache_set[line]
             self.coherence_invalidations += 1
 
+    def invalidate_lines(self, lines) -> int:
+        """Invalidate every resident line of ``lines`` (one remote
+        commit's write set); returns how many were resident.
+
+        Same effect and counters as one :meth:`invalidate` per line.
+        """
+        sets = self._sets
+        set_mask = self._set_mask
+        invalidated = 0
+        for line in lines:
+            cache_set = sets[line & set_mask]
+            if line in cache_set:
+                del cache_set[line]
+                invalidated += 1
+        self.coherence_invalidations += invalidated
+        return invalidated
+
     def write_would_overflow(
         self,
         chunk_write_lines: set[int],
@@ -149,6 +168,11 @@ class SpeculativeCache:
         written lines in the target set and ``new_line`` is not one of
         them -- the condition under which execution must stop and the
         chunk be truncated (Section 4.2.3).
+
+        This is the reference definition.  The chunk interpreter
+        (:meth:`ChunkProcessor._execute_into`) implements the same test
+        in O(1) from per-set counts of the chunk's written lines; the
+        property tests check the two agree.
         """
         if new_line in chunk_write_lines:
             return False

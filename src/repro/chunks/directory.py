@@ -85,14 +85,10 @@ class CommitDirectory:
         """
         self.traffic.signature_bytes += self.signature_bytes_each
         invalidations = 0
+        lines = chunk.write_lines
         for proc_id, cache in caches.items():
-            if proc_id == chunk.processor:
-                continue
-            for line in chunk.write_lines:
-                before = cache.coherence_invalidations
-                cache.invalidate(line)
-                if cache.coherence_invalidations > before:
-                    invalidations += 1
+            if proc_id != chunk.processor:
+                invalidations += cache.invalidate_lines(lines)
         self.traffic.invalidation_bytes += invalidations * _HEADER_BYTES
         # Committed dirty lines eventually move to the shared cache.
         self.traffic.data_bytes += len(chunk.write_lines) * self.line_bytes

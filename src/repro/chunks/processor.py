@@ -51,6 +51,15 @@ _STAGE_START = 0
 _STAGE_BARRIER_WAIT = 1
 
 _BOUNDARY_KINDS = (OpKind.IO_LOAD, OpKind.IO_STORE, OpKind.SPECIAL)
+_COMPUTE = OpKind.COMPUTE
+_TRAP = OpKind.TRAP
+_LOAD = OpKind.LOAD
+_STORE = OpKind.STORE
+_UNLOCK = OpKind.UNLOCK
+_RMW = OpKind.RMW
+_LOCK = OpKind.LOCK
+_BARRIER = OpKind.BARRIER
+_SPECIAL = OpKind.SPECIAL
 
 
 @dataclass
@@ -269,36 +278,6 @@ class ChunkProcessor:
         else:
             state.op_index += 1
 
-    def _read_value(
-        self,
-        address: int,
-        current: Chunk,
-        memory: MainMemory,
-    ) -> int:
-        """Load semantics: own buffer, older uncommitted chunks
-        (newest first), then committed memory."""
-        if address in current.write_buffer:
-            return current.write_buffer[address]
-        for chunk in reversed(self.outstanding):
-            if address in chunk.write_buffer:
-                return chunk.write_buffer[address]
-        return memory.read(address)
-
-    def _charge_read(self, chunk: Chunk, line: int) -> None:
-        """Timing for a load: exposed fraction of any miss latency."""
-        level = self.cache.access(line)
-        timing = self.config.timing
-        if level == "l2":
-            chunk.exec_cycles += (timing.l2_hit_cycles
-                                  * timing.chunk_load_exposure)
-        elif level == "memory":
-            chunk.exec_cycles += (timing.memory_cycles
-                                  * timing.chunk_load_exposure)
-
-    def _charge_write(self, line: int) -> None:
-        """Writes update LRU state but are fully buffered (no stall)."""
-        self.cache.access(line)
-
     def _execute_into(
         self,
         chunk: Chunk,
@@ -307,180 +286,236 @@ class ChunkProcessor:
         forced_limit: int | None,
         memory: MainMemory,
     ) -> None:
-        """Run the thread into ``chunk`` until a truncation condition."""
+        """Run the thread into ``chunk`` until a truncation condition.
+
+        Every op costs a constant amount of host work, independent of
+        the chunk's footprint: per-chunk constants are bound to locals
+        once, and the overflow test reads a per-set count of the
+        chunk's distinct written lines instead of rescanning them
+        (:meth:`SpeculativeCache.write_would_overflow` is the reference
+        definition the counts implement).  The accumulator, retired
+        count, instruction count and exposed miss cycles live in locals
+        and are written back when the chunk ends.
+        """
         state = self.spec_state
         effective = target_size
         reason_at_target = target_reason
         if forced_limit is not None and forced_limit < effective:
             effective = max(1, forced_limit)
             reason_at_target = TruncationReason.CACHE_OVERFLOW
-        line_of = self.config.line_of
+        overflow = TruncationReason.CACHE_OVERFLOW
+        ops = self.ops
+        num_ops = len(ops)
+        line_shift = self.config.line_shift
+        timing = self.config.timing
+        l2_cost = timing.l2_hit_cycles * timing.chunk_load_exposure
+        memory_cost = timing.memory_cycles * timing.chunk_load_exposure
+        access = self.cache.access
+        cache_config = self.cache.config
+        set_mask = cache_config.sets - 1
+        ways = cache_config.speculative_ways
+        # Distinct lines this chunk has written, per cache set.  The
+        # chunk is fresh: one call builds it from an empty write set.
+        set_counts = [0] * cache_config.sets
+        write_lines = chunk.write_lines
+        read_lines = chunk.read_lines
+        read_insert = chunk.read_signature.insert
+        write_insert = chunk.write_signature.insert
+        write_buffer = chunk.write_buffer
+        # Loads read through the uncommitted predecessors' buffers,
+        # newest first, then committed memory.
+        older_buffers = [older.write_buffer
+                         for older in reversed(self.outstanding)]
+        memory_read = memory.read
+        accumulator = state.accumulator
+        retired = state.retired
+        instructions = chunk.instructions
+        exec_cycles = chunk.exec_cycles
         while True:
-            op = self._current_op(state)
-            if op is None:
-                chunk.truncation = TruncationReason.PROGRAM_END
-                break
+            handler_ops = state.handler_ops
+            if handler_ops is not None:
+                index = state.handler_index
+                if index < len(handler_ops):
+                    op = handler_ops[index]
+                else:
+                    # Handler finished: resume the interrupted op.
+                    state.exit_handler()
+                    handler_ops = None
+            if handler_ops is None:
+                index = state.op_index
+                if index >= num_ops:
+                    state.finished = True
+                    chunk.truncation = TruncationReason.PROGRAM_END
+                    break
+                op = ops[index]
             kind = op.kind
-            budget = effective - chunk.instructions
-            if kind in _BOUNDARY_KINDS:
-                chunk.pending_boundary_op = op
-                chunk.truncation = (
-                    TruncationReason.SPECIAL if kind is OpKind.SPECIAL
-                    else TruncationReason.IO_BOUNDARY)
-                break
-            if kind is OpKind.COMPUTE or kind is OpKind.TRAP:
+            budget = effective - instructions
+            cost = 1
+            if kind is _COMPUTE or kind is _TRAP:
                 if budget < 1:
                     chunk.truncation = reason_at_target
                     break
-                remaining = (state.compute_remaining
-                             if state.compute_remaining else op.count)
-                step = min(remaining, budget)
-                state.accumulator = compute_mix(state.accumulator, step)
-                chunk.instructions += step
-                state.retired += step
+                remaining = state.compute_remaining or op.count
+                step = remaining if remaining < budget else budget
+                accumulator = compute_mix(accumulator, step)
+                instructions += step
+                retired += step
                 left = remaining - step
                 state.compute_remaining = left
                 if left == 0:
-                    self._advance(state)
+                    if handler_ops is None:
+                        state.op_index = index + 1
+                    else:
+                        state.handler_index = index + 1
                 continue
-            if kind is OpKind.LOAD:
+            if kind is _LOAD:
                 if budget < 1:
                     chunk.truncation = reason_at_target
                     break
-                line = line_of(op.address)
-                state.accumulator = self._read_value(
-                    op.address, chunk, memory)
-                chunk.record_read(line)
-                self._charge_read(chunk, line)
-                chunk.instructions += 1
-                state.retired += 1
-                self._advance(state)
-                continue
-            if kind is OpKind.STORE:
-                if budget < 1:
-                    chunk.truncation = reason_at_target
-                    break
-                line = line_of(op.address)
-                if self.cache.write_would_overflow(chunk.write_lines, line):
-                    chunk.truncation = TruncationReason.CACHE_OVERFLOW
-                    break
-                value = (op.value if op.value is not None
-                         else state.accumulator)
-                chunk.write_buffer[op.address] = value & WORD_MASK
-                chunk.record_write(line)
-                self._charge_write(line)
-                chunk.instructions += 1
-                state.retired += 1
-                self._advance(state)
-                continue
-            if kind is OpKind.RMW:
-                if budget < 1:
-                    chunk.truncation = reason_at_target
-                    break
-                line = line_of(op.address)
-                if self.cache.write_would_overflow(chunk.write_lines, line):
-                    chunk.truncation = TruncationReason.CACHE_OVERFLOW
-                    break
-                old = self._read_value(op.address, chunk, memory)
-                delta = op.value if op.value is not None else 1
-                chunk.write_buffer[op.address] = (old + delta) & WORD_MASK
-                chunk.record_read(line)
-                chunk.record_write(line)
-                self._charge_read(chunk, line)
-                state.accumulator = old
-                chunk.instructions += 1
-                state.retired += 1
-                self._advance(state)
-                continue
-            if kind is OpKind.LOCK:
-                if budget < LOCK_SPIN_COST:
-                    chunk.truncation = reason_at_target
-                    break
-                line = line_of(op.address)
-                if self.cache.write_would_overflow(chunk.write_lines, line):
-                    chunk.truncation = TruncationReason.CACHE_OVERFLOW
-                    break
-                value = self._read_value(op.address, chunk, memory)
-                chunk.record_read(line)
-                self._charge_read(chunk, line)
-                if value == 0:
-                    chunk.write_buffer[op.address] = 1
-                    chunk.record_write(line)
-                    chunk.instructions += LOCK_SPIN_COST
-                    state.retired += LOCK_SPIN_COST
-                    self._advance(state)
+                address = op.address
+                line = address >> line_shift
+                if address in write_buffer:
+                    accumulator = write_buffer[address]
                 else:
-                    # The lock is held and, within an isolated chunk, its
-                    # value cannot change: the remaining budget is pure
-                    # spinning.  Charge it in bulk.
-                    spins = budget // LOCK_SPIN_COST
-                    cost = spins * LOCK_SPIN_COST
-                    chunk.instructions += cost
-                    state.retired += cost
-                    self.stats.spin_instructions += cost
-                    chunk.truncation = reason_at_target
-                    break
-                continue
-            if kind is OpKind.UNLOCK:
+                    for buffer in older_buffers:
+                        if address in buffer:
+                            accumulator = buffer[address]
+                            break
+                    else:
+                        accumulator = memory_read(address)
+                if line not in read_lines:
+                    read_lines.add(line)
+                    read_insert(line)
+                level = access(line)
+                if level == "l2":
+                    exec_cycles += l2_cost
+                elif level == "memory":
+                    exec_cycles += memory_cost
+            elif kind is _STORE or kind is _UNLOCK:
                 if budget < 1:
                     chunk.truncation = reason_at_target
                     break
-                line = line_of(op.address)
-                if self.cache.write_would_overflow(chunk.write_lines, line):
-                    chunk.truncation = TruncationReason.CACHE_OVERFLOW
-                    break
-                chunk.write_buffer[op.address] = 0
-                chunk.record_write(line)
-                self._charge_write(line)
-                chunk.instructions += 1
-                state.retired += 1
-                self._advance(state)
-                continue
-            if kind is OpKind.BARRIER:
-                if state.stage == _STAGE_START:
-                    if budget < 1:
+                address = op.address
+                line = address >> line_shift
+                if line not in write_lines:
+                    cache_set = line & set_mask
+                    if set_counts[cache_set] >= ways:
+                        chunk.truncation = overflow
+                        break
+                    set_counts[cache_set] += 1
+                    write_lines.add(line)
+                    write_insert(line)
+                if kind is _UNLOCK:
+                    write_buffer[address] = 0
+                else:
+                    value = op.value
+                    write_buffer[address] = (
+                        accumulator if value is None else value) & WORD_MASK
+                # Writes update LRU state but are fully buffered.
+                access(line)
+            elif kind is _RMW or kind is _LOCK or kind is _BARRIER:
+                address = op.address
+                line = address >> line_shift
+                barrier_wait = (kind is _BARRIER
+                                and state.stage == _STAGE_BARRIER_WAIT)
+                if barrier_wait:
+                    if budget < BARRIER_SPIN_COST:
                         chunk.truncation = reason_at_target
                         break
-                    line = line_of(op.address)
-                    if self.cache.write_would_overflow(
-                            chunk.write_lines, line):
-                        chunk.truncation = TruncationReason.CACHE_OVERFLOW
+                else:
+                    if budget < (LOCK_SPIN_COST if kind is _LOCK else 1):
+                        chunk.truncation = reason_at_target
                         break
-                    old = self._read_value(op.address, chunk, memory)
-                    chunk.write_buffer[op.address] = (old + 1) & WORD_MASK
-                    chunk.record_read(line)
-                    chunk.record_write(line)
-                    self._charge_read(chunk, line)
-                    state.barrier_target = (
-                        (old // op.count + 1) * op.count)
-                    state.stage = _STAGE_BARRIER_WAIT
-                    chunk.instructions += 1
-                    state.retired += 1
-                    continue
-                # Waiting phase.
-                if budget < BARRIER_SPIN_COST:
-                    chunk.truncation = reason_at_target
-                    break
-                line = line_of(op.address)
-                value = self._read_value(op.address, chunk, memory)
-                chunk.record_read(line)
-                self._charge_read(chunk, line)
-                if value >= state.barrier_target:
+                    if (line not in write_lines
+                            and set_counts[line & set_mask] >= ways):
+                        chunk.truncation = overflow
+                        break
+                if address in write_buffer:
+                    value = write_buffer[address]
+                else:
+                    for buffer in older_buffers:
+                        if address in buffer:
+                            value = buffer[address]
+                            break
+                    else:
+                        value = memory_read(address)
+                if line not in read_lines:
+                    read_lines.add(line)
+                    read_insert(line)
+                level = access(line)
+                if level == "l2":
+                    exec_cycles += l2_cost
+                elif level == "memory":
+                    exec_cycles += memory_cost
+                if barrier_wait:
+                    if value < state.barrier_target:
+                        # Within an isolated chunk the counter cannot
+                        # change: the remaining budget is pure spinning.
+                        cost = (budget // BARRIER_SPIN_COST
+                                * BARRIER_SPIN_COST)
+                        instructions += cost
+                        retired += cost
+                        self.stats.spin_instructions += cost
+                        chunk.truncation = reason_at_target
+                        break
                     state.stage = _STAGE_START
                     state.barrier_target = 0
-                    chunk.instructions += BARRIER_SPIN_COST
-                    state.retired += BARRIER_SPIN_COST
-                    self._advance(state)
+                    cost = BARRIER_SPIN_COST
                 else:
-                    spins = budget // BARRIER_SPIN_COST
-                    cost = spins * BARRIER_SPIN_COST
-                    chunk.instructions += cost
-                    state.retired += cost
-                    self.stats.spin_instructions += cost
-                    chunk.truncation = reason_at_target
-                    break
-                continue
-            raise ExecutionError(f"unhandled op kind {kind}")
+                    if kind is _LOCK:
+                        if value != 0:
+                            # The lock is held and, within an isolated
+                            # chunk, its value cannot change: the
+                            # remaining budget is pure spinning.  Charge
+                            # it in bulk.
+                            cost = budget // LOCK_SPIN_COST * LOCK_SPIN_COST
+                            instructions += cost
+                            retired += cost
+                            self.stats.spin_instructions += cost
+                            chunk.truncation = reason_at_target
+                            break
+                        write_buffer[address] = 1
+                        cost = LOCK_SPIN_COST
+                    elif kind is _RMW:
+                        delta = op.value
+                        write_buffer[address] = (
+                            value + (1 if delta is None else delta)
+                        ) & WORD_MASK
+                        accumulator = value
+                    else:
+                        write_buffer[address] = (value + 1) & WORD_MASK
+                    if line not in write_lines:
+                        set_counts[line & set_mask] += 1
+                        write_lines.add(line)
+                        write_insert(line)
+                    if kind is _BARRIER:
+                        # The arrival increment; the wait phase follows
+                        # without advancing past the op.
+                        state.barrier_target = (
+                            (value // op.count + 1) * op.count)
+                        state.stage = _STAGE_BARRIER_WAIT
+                        instructions += 1
+                        retired += 1
+                        continue
+            elif kind in _BOUNDARY_KINDS:
+                chunk.pending_boundary_op = op
+                chunk.truncation = (
+                    TruncationReason.SPECIAL if kind is _SPECIAL
+                    else TruncationReason.IO_BOUNDARY)
+                break
+            else:
+                raise ExecutionError(f"unhandled op kind {kind}")
+            # Every memory op but a barrier arrival completes here.
+            instructions += cost
+            retired += cost
+            if handler_ops is None:
+                state.op_index = index + 1
+            else:
+                state.handler_index = index + 1
+        state.accumulator = accumulator
+        state.retired = retired
+        chunk.instructions = instructions
+        chunk.exec_cycles = exec_cycles
         chunk.end_state = state.snapshot()
         chunk.exec_cycles += self.config.timing.instruction_cycles(
             chunk.instructions)

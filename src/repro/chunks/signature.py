@@ -85,7 +85,15 @@ class Signature:
 
     def insert(self, line_address: int) -> None:
         """Add a cache-line address to the signature."""
-        self._keys.update(self._positions(line_address))
+        config = self.config
+        if config.num_hashes == 1:
+            # The default single hash: _positions' one key, computed
+            # without the generator.
+            mixed = ((line_address + 1) * _MULTIPLIERS[0]) & _MASK64
+            mixed ^= mixed >> 29
+            self._keys.add(mixed & (config.size_bits - 1))
+        else:
+            self._keys.update(self._positions(line_address))
         self._count += 1
 
     def may_contain(self, line_address: int) -> bool:

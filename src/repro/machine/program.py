@@ -40,6 +40,7 @@ TRAP       ``count`` handler instructions executed inline
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
@@ -103,8 +104,14 @@ _AFFINE_C = 0x14057B7EF767814F
 _WORD_MOD = 1 << 64
 
 
+@functools.lru_cache(maxsize=4096)
 def _affine_power(count: int) -> tuple[int, int]:
-    """(A^n mod 2^64, 1 + A + ... + A^(n-1) mod 2^64) by fast doubling."""
+    """(A^n mod 2^64, 1 + A + ... + A^(n-1) mod 2^64) by fast doubling.
+
+    Memoized: the result depends on ``count`` alone, and a program's
+    COMPUTE blocks (and the pieces chunk boundaries cut them into)
+    repeat a small set of counts.
+    """
     multiplier = 1
     geometric = 0
     base = _AFFINE_A        # A^(2^i)

@@ -34,9 +34,11 @@ import hashlib
 import json
 from dataclasses import dataclass
 
+from repro.core.modes import ExecutionMode
 from repro.errors import ConfigurationError
 from repro.runner.jobs import execute_spec, recording_from_artifact
 from repro.runner.specs import RunSpec
+from repro.workloads import BUG_ZOO, COMMERCIAL_APPS, SPLASH2_APPS
 
 #: Schema stamp for campaign-spec canonical forms (cache invalidation
 #: lever, independent of RunSpec's).
@@ -77,13 +79,34 @@ _PARAMS = {
     "bench": {**_COMMON, "jobs": int},
 }
 
+_MODES = tuple(mode.value for mode in ExecutionMode)
+_APPS = tuple(sorted(SPLASH2_APPS)) + tuple(sorted(COMMERCIAL_APPS))
+#: Bug-zoo specimens resolve only through a RunSpec program build.
+_ZOO_APPS = tuple(f"zoo:{name}" for name in sorted(BUG_ZOO))
+
+
+def _check_choices(kind: str, clean: dict) -> None:
+    """Reject a ``mode`` or ``app`` the job could only fail on later."""
+    mode = clean.get("mode")
+    if mode is not None and mode not in _MODES:
+        raise ConfigurationError(
+            f"{kind} parameter 'mode' must be one of "
+            f"{', '.join(_MODES)}, got {mode!r}")
+    app = clean.get("app")
+    apps = _APPS + (_ZOO_APPS if kind in RUNSPEC_KINDS else ())
+    if app is not None and app not in apps:
+        raise ConfigurationError(
+            f"{kind} parameter 'app' must be one of "
+            f"{', '.join(apps)}, got {app!r}")
+
 
 def validate_params(kind: str, params: dict) -> dict:
     """Check and coerce a raw parameter dictionary for ``kind``.
 
     Returns a new dictionary with every value coerced to its declared
     type; raises :class:`ConfigurationError` on an unknown kind, an
-    unknown parameter, or an uncoercible value.
+    unknown parameter, an uncoercible value, or a ``mode`` or ``app``
+    that names no execution mode or workload.
     """
     if kind not in JOB_KINDS:
         raise ConfigurationError(
@@ -109,6 +132,7 @@ def validate_params(kind: str, params: dict) -> dict:
             raise ConfigurationError(
                 f"{kind} parameter {name!r} must be "
                 f"{coerce.__name__}, got {value!r}") from None
+    _check_choices(kind, clean)
     return clean
 
 

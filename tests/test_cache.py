@@ -1,9 +1,15 @@
 """Tests for the L1/L2 cache models and overflow detection."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.chunks.cache import CacheConfig, SharedL2Filter, SpeculativeCache
+from repro.chunks.chunk import TruncationReason
+from repro.chunks.processor import ChunkProcessor
 from repro.errors import ConfigurationError
+from repro.machine.memory import MainMemory
+from repro.machine.program import Op, OpKind
+from repro.machine.timing import MachineConfig
 
 
 class TestCacheConfig:
@@ -126,3 +132,134 @@ class TestOverflowDetection:
         written = {0, 8, 16}
         assert (cache.write_would_overflow(written, 24)
                 == cache.write_would_overflow(written, 24))
+
+
+# ----------------------------------------------------------------------
+# The interpreter's O(1) overflow test against the reference definition
+# ----------------------------------------------------------------------
+
+_LINE_WORDS = MachineConfig().line_words
+
+#: Op shapes of a generated stream.  Every kind that writes a line is
+#: here; "lock" expands to LOCK + UNLOCK of one word (acquire, then
+#: release), "barrier" is a one-participant barrier (arrive, then pass).
+_WRITE_SHAPES = ("store", "rmw", "unlock", "lock", "barrier")
+
+
+def _stream_ops(stream):
+    ops = []
+    for shape, line in stream:
+        base = line * _LINE_WORDS
+        if shape == "load":
+            ops.append(Op(OpKind.LOAD, address=base))
+        elif shape == "store":
+            ops.append(Op(OpKind.STORE, address=base, value=line))
+        elif shape == "rmw":
+            ops.append(Op(OpKind.RMW, address=base, value=3))
+        elif shape == "unlock":
+            ops.append(Op(OpKind.UNLOCK, address=base))
+        elif shape == "lock":
+            ops.append(Op(OpKind.LOCK, address=base + 1))
+            ops.append(Op(OpKind.UNLOCK, address=base + 1))
+        else:
+            ops.append(Op(OpKind.BARRIER, address=base + 2, count=1))
+    return ops
+
+
+def _reference_stop(cache, stream):
+    """Replay ``stream`` against :meth:`write_would_overflow`: the index
+    of the first op that overflows (or None) and the write set then."""
+    written: set[int] = set()
+    ops_before = 0
+    for shape, line in stream:
+        if shape != "load":
+            if cache.write_would_overflow(written, line):
+                return ops_before, written
+            written.add(line)
+        ops_before += 2 if shape == "lock" else 1
+    return None, written
+
+
+@st.composite
+def _geometry_and_stream(draw):
+    sets = draw(st.sampled_from([1, 2, 4, 8]))
+    ways = draw(st.integers(min_value=2, max_value=4))
+    # Few distinct lines relative to the capacity: repeats (lines
+    # already written) and sets filled to exactly ``ways`` are common.
+    lines = st.integers(min_value=0, max_value=sets * (ways + 1) - 1)
+    shapes = st.sampled_from(("load",) + _WRITE_SHAPES)
+    stream = draw(st.lists(st.tuples(shapes, lines),
+                           min_size=1, max_size=60))
+    return sets, ways, stream
+
+
+@settings(max_examples=300, deadline=None)
+@given(_geometry_and_stream())
+def test_interpreter_overflow_matches_reference(case):
+    """The chunk stops at exactly the op where ``write_would_overflow``
+    says the write set overflows, with exactly that write set."""
+    sets, ways, stream = case
+    cache = SpeculativeCache(CacheConfig(sets=sets, ways=ways))
+    processor = ChunkProcessor(0, _stream_ops(stream), MachineConfig(),
+                               cache)
+    chunk = processor.build_chunk(0.0, 10_000, memory=MainMemory())
+    stop, written = _reference_stop(cache, stream)
+    if stop is None:
+        assert chunk.truncation is TruncationReason.PROGRAM_END
+        assert processor.spec_state.op_index == len(processor.ops)
+    else:
+        assert chunk.truncation is TruncationReason.CACHE_OVERFLOW
+        assert processor.spec_state.op_index == stop
+    assert chunk.write_lines == written
+
+
+def test_full_set_accepts_rewrites_and_stops_at_a_new_line():
+    """A set holding exactly ``ways`` written lines still takes stores
+    to those lines; the first new line in the set truncates."""
+    sets, ways = 4, 2
+    stream = [("store", 0), ("rmw", 4),             # set 0 at capacity
+              ("store", 0), ("lock", 4), ("barrier", 0),  # rewrites
+              ("store", 1),                          # another set
+              ("store", 8)]                          # new line: overflow
+    cache = SpeculativeCache(CacheConfig(sets=sets, ways=ways))
+    processor = ChunkProcessor(0, _stream_ops(stream), MachineConfig(),
+                               cache)
+    chunk = processor.build_chunk(0.0, 10_000, memory=MainMemory())
+    assert chunk.truncation is TruncationReason.CACHE_OVERFLOW
+    assert chunk.write_lines == {0, 1, 4}
+    assert processor.ops[processor.spec_state.op_index] == Op(
+        OpKind.STORE, address=8 * _LINE_WORDS, value=8)
+    assert _reference_stop(cache, stream) == (
+        processor.spec_state.op_index, {0, 1, 4})
+
+
+# ----------------------------------------------------------------------
+# Batched coherence invalidation
+# ----------------------------------------------------------------------
+
+_CACHE_LINES = st.integers(min_value=0, max_value=63)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([1, 2, 4, 8]), st.integers(min_value=2, max_value=4),
+       st.lists(_CACHE_LINES, max_size=80), st.sets(_CACHE_LINES))
+def test_invalidate_lines_matches_per_line_invalidate(
+        sets, ways, accesses, lines):
+    """One batched call returns, counts and leaves behind exactly what
+    one :meth:`invalidate` per line would."""
+    per_line = SpeculativeCache(CacheConfig(sets=sets, ways=ways))
+    batched = SpeculativeCache(CacheConfig(sets=sets, ways=ways))
+    for line in accesses:
+        per_line.access(line)
+        batched.access(line)
+    before = per_line.coherence_invalidations
+    for line in lines:
+        per_line.invalidate(line)
+    expected = per_line.coherence_invalidations - before
+    assert batched.invalidate_lines(lines) == expected
+    assert batched.coherence_invalidations == \
+        per_line.coherence_invalidations
+    # Same residency and LRU order: every probe classifies alike.
+    for line in range(64):
+        assert batched.access(line) == per_line.access(line)
+    assert batched.stats() == per_line.stats()

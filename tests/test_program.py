@@ -9,6 +9,7 @@ from repro.machine.program import (
     OpKind,
     Program,
     ThreadState,
+    _affine_power,
     compute_mix,
 )
 
@@ -122,3 +123,33 @@ class TestComputeMix:
            st.integers(min_value=1, max_value=10000))
     def test_result_stays_in_word_range(self, start, count):
         assert 0 <= compute_mix(start, count) < (1 << 64)
+
+
+_POWER_COUNTS = sorted({1} | {
+    (1 << k) + delta for k in range(1, 21) for delta in (-1, 0, 1)})
+
+
+class TestAffinePowerMemo:
+    """``_affine_power`` is memoized; the cache must be invisible."""
+
+    @pytest.mark.parametrize("count", _POWER_COUNTS)
+    def test_memo_equals_fast_doubling_at_powers_of_two(self, count):
+        assert _affine_power(count) == _affine_power.__wrapped__(count)
+        # A second (cached) lookup returns the same pair.
+        assert _affine_power(count) == _affine_power.__wrapped__(count)
+
+    @given(st.integers(min_value=0, max_value=1 << 20))
+    def test_memo_equals_fast_doubling(self, count):
+        assert _affine_power(count) == _affine_power.__wrapped__(count)
+
+    def test_memo_matches_naive_iteration(self):
+        from repro.machine.program import _AFFINE_A
+        multiplier, geometric = 1, 0
+        for count in range(1, 300):
+            geometric = (geometric + multiplier) % (1 << 64)
+            multiplier = (multiplier * _AFFINE_A) % (1 << 64)
+            assert _affine_power(count) == (multiplier, geometric)
+
+    def test_memo_is_bounded(self):
+        maxsize = _affine_power.cache_info().maxsize
+        assert maxsize is not None and maxsize > 0

@@ -142,6 +142,19 @@ class TestEndpoints:
                 client.submit("dance", {})
             assert err.value.status == 400
 
+    def test_unknown_mode_or_app_gets_400(self, tmp_path):
+        service = make_service(tmp_path)
+        with running_server(service) as server:
+            client = ServeClient(port=server.port)
+            for kind, params in [("record", {"mode": "order-only"}),
+                                 ("record", {"app": "nope"}),
+                                 ("explore", {"mode": "bogus"})]:
+                with pytest.raises(ServeError) as err:
+                    client.submit(kind, params)
+                assert err.value.status == 400
+                assert "must be one of" in str(err.value)
+            assert client.jobs() == []
+
     def test_unknown_resources_get_404(self, tmp_path):
         service = make_service(tmp_path)
         with running_server(service) as server:

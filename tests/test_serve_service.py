@@ -61,6 +61,23 @@ class TestSubmitAndRun:
         assert service.queue.counts().depth == 0
         service.close()
 
+    def test_unknown_mode_or_app_raises_before_admission(self, tmp_path):
+        """A mode or app the job could only fail on is never queued."""
+        service = make_service(tmp_path)
+        for kind, params in [("record", {"mode": "order-only"}),
+                             ("record", {"app": "nope"}),
+                             ("explore", {"mode": "bogus"}),
+                             ("chaos", {"app": "zoo:lost-update"})]:
+            with pytest.raises(ConfigurationError, match="must be one of"):
+                service.submit(kind, params)
+        assert service.queue.counts().depth == 0
+        # Every workload family is still accepted.
+        for app in ("fft", "sjbb2k", "zoo:lost-update"):
+            job, decision = service.submit(
+                "record", {"app": app, "mode": "picolog"})
+            assert decision.admitted and job.state == "queued"
+        service.close()
+
     def test_failure_reaches_failed_with_error(self, tmp_path):
         service = make_service(tmp_path, job_fn=failing_job)
         job, _ = service.submit("record", {"seed": 1})

@@ -131,3 +131,14 @@ def test_default_space_keeps_aliasing_rare():
     for line in range(1000, 1050):
         b.insert(line)
     assert not a.intersects(b)
+
+
+@given(st.integers(min_value=0, max_value=1 << 40),
+       st.integers(min_value=1, max_value=4),
+       st.sampled_from([2048, 1 << 21]))
+def test_insert_stores_exactly_the_hashed_positions(line, hashes, space):
+    """``insert`` (with its single-hash fast path) stores the same keys
+    the generic ``_positions`` hashing yields, for every hash count."""
+    sig = Signature(SignatureConfig(size_bits=space, num_hashes=hashes))
+    sig.insert(line)
+    assert sig._keys == set(sig._positions(line))
