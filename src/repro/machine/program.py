@@ -71,7 +71,7 @@ class OpKind(enum.Enum):
     TRAP = "trap"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Op:
     """One static operation in a thread's program.
 
@@ -83,6 +83,12 @@ class Op:
       sensitive to the interleaving (good for determinism testing).
     * ``count`` -- ALU instructions for COMPUTE; handler length for TRAP;
       participant count for BARRIER.
+
+    The constructor fills the instance dict directly, in field order,
+    instead of the four ``object.__setattr__`` calls a frozen
+    dataclass's generated ``__init__`` makes.  That dict is the op's
+    pickle state, so its key order is part of every stored recording,
+    guard journal and runner artifact (see docs/INTERNALS.md).
     """
 
     kind: OpKind
@@ -90,13 +96,17 @@ class Op:
     value: int | None = None
     count: int = 1
 
-    def __post_init__(self) -> None:
-        if self.address < 0:
+    def __init__(self, kind: OpKind, address: int = 0,
+                 value: int | None = None, count: int = 1) -> None:
+        state = self.__dict__
+        state["kind"] = kind
+        state["address"] = address
+        state["value"] = value
+        state["count"] = count
+        if address < 0:
             raise ConfigurationError(f"negative address in {self}")
-        if self.count < 1:
+        if count < 1:
             raise ConfigurationError(f"non-positive count in {self}")
-        if self.kind is OpKind.BARRIER and self.count < 1:
-            raise ConfigurationError("BARRIER needs a participant count")
 
 
 _AFFINE_A = 0x5851F42D4C957F2D

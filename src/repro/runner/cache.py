@@ -39,6 +39,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import tempfile
 import time
 from dataclasses import dataclass, field
@@ -55,6 +56,9 @@ ARTIFACT_SCHEMA = 1
 
 #: Pin-marker suffix: ``<spec-hash>.pin`` next to the artifact.
 PIN_SUFFIX = ".pin"
+
+#: A content hash: a SHA-256 hex digest, the only name an artifact has.
+_CONTENT_HASH = re.compile(r"[0-9a-f]{64}")
 
 
 @lru_cache(maxsize=1)
@@ -161,8 +165,24 @@ class ResultCache:
         return self.load_by_hash(spec.content_hash())
 
     def load_by_hash(self, spec_hash: str) -> dict | None:
-        """Fetch an artifact by bare content hash (the serve layer's
-        ``GET /v1/artifacts/<hash>`` path)."""
+        """Fetch an artifact by bare content hash."""
+        found = self.read_by_hash(spec_hash)
+        return None if found is None else found[1]
+
+    def read_by_hash(self, spec_hash: str) -> tuple[bytes, dict] | None:
+        """The stored bytes and the parsed artifact at a bare content
+        hash, or ``None`` on miss.
+
+        The bytes are the canonical encoding :meth:`store` wrote, so
+        the serve layer's ``GET /v1/artifacts/<hash>`` sends them as
+        they are instead of re-encoding the artifact.  A string that
+        is not a content hash is a miss before any path is built, so
+        a request segment such as ``../x`` can neither read nor drop
+        a file outside the store.
+        """
+        if not _CONTENT_HASH.fullmatch(spec_hash):
+            self.misses += 1
+            return None
         path = self.path_for_hash(spec_hash)
         try:
             raw = path.read_bytes()
@@ -183,7 +203,7 @@ class ResultCache:
             return None
         self.hits += 1
         self._touch(path)
-        return artifact
+        return raw, artifact
 
     def store(self, spec, artifact: dict) -> Path:
         """Atomically persist ``artifact`` for ``spec``.

@@ -43,10 +43,16 @@ answered with the full retained snapshot instead of a silent gap.
 Job execution happens on worker tasks (one per configured worker)
 that pull from the durable queue through ``asyncio.to_thread``, so a
 long simulation never blocks the accept loop: submissions, listings
-and streams stay responsive while jobs run.  In fleet mode those
+and streams stay responsive while jobs run.  An idle worker task
+sleeps until the queue observer reports a job entering ``queued``
+(a submit or a lease-expiry requeue), and at most
+``WORKER_IDLE_NAP``, which bounds how late it notices time-driven
+changes such as the fleet degrading.  In fleet mode those
 tasks idle while remote workers are heartbeating and take over
 automatically when none is (graceful degradation); a once-a-second
-sweeper task expires abandoned leases either way.
+sweeper task expires abandoned leases either way.  An artifact fetch
+reads and checks the cache file in a thread too, and sends the stored
+canonical bytes as they are rather than re-encoding the document.
 """
 
 from __future__ import annotations
@@ -59,7 +65,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import ConfigurationError
 from repro.serve.lease import heartbeat_interval
-from repro.serve.model import Job
+from repro.serve.model import STATE_QUEUED, Job
 from repro.serve.queue import read_journal_dir
 from repro.serve.service import ReproService
 from repro.serve.sse import EventLog, format_sse
@@ -68,6 +74,11 @@ _MAX_BODY = 1 << 20  # 1 MiB: job submissions are tiny
 
 #: How often the server sweeps expired leases.
 SWEEP_INTERVAL = 1.0
+
+#: Longest an idle worker task waits before trying to claim again.
+#: Queue arrivals wake it at once; the nap only bounds how late it
+#: sees changes no transition announces (the fleet going degraded).
+WORKER_IDLE_NAP = 0.02
 
 _STATUS_TEXT = {
     200: "OK", 202: "Accepted", 400: "Bad Request",
@@ -94,12 +105,16 @@ class ServeServer:
         self._server: asyncio.AbstractServer | None = None
         self._workers: list[asyncio.Task] = []
         self._stopping = asyncio.Event()
+        # One wake-up event per worker task, so one task clearing its
+        # own event can never swallow another idle task's wake-up.
+        self._work_ready: list[asyncio.Event] = []
+        self._loop: asyncio.AbstractEventLoop | None = None
 
     # -- lifecycle ------------------------------------------------------
 
     async def start(self) -> None:
         """Bind, seed the event log, launch worker + sweeper tasks."""
-        loop = asyncio.get_running_loop()
+        loop = self._loop = asyncio.get_running_loop()
         # Seed from every journal segment so SSE resume spans restarts
         # (and compactions), then attach live; the lsn guard in
         # EventLog dedupes any transition that lands in between.
@@ -110,10 +125,12 @@ class ServeServer:
             self.events.seed(record["lsn"],
                              Job.from_dict(record["job"]))
         self.service.queue.subscribe(self.events.append)
+        self.service.queue.subscribe(self._wake_workers)
         self._server = await asyncio.start_server(
             self._handle, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
         for index in range(self.service.jobs):
+            self._work_ready.append(asyncio.Event())
             self._workers.append(
                 loop.create_task(self._worker(index)))
         self._workers.append(loop.create_task(self._sweeper()))
@@ -137,12 +154,31 @@ class ServeServer:
                 pass
         self.service.close()
 
+    def _wake_workers(self, _lsn: int, job: Job) -> None:
+        """Queue observer: a job entered ``queued`` -- submitted or
+        requeued -- so wake every idle worker task.  Runs on
+        whichever thread made the transition, under the queue lock."""
+        if job.state == STATE_QUEUED:
+            self._loop.call_soon_threadsafe(self._set_work_ready)
+
+    def _set_work_ready(self) -> None:
+        for ready in self._work_ready:
+            ready.set()
+
     async def _worker(self, index: int) -> None:
-        """Pull-and-run loop; the 20ms idle nap bounds poll cost."""
+        """Pull-and-run loop.  Idle, it waits for a queue arrival, or
+        ``WORKER_IDLE_NAP`` at most."""
+        ready = self._work_ready[index]
         while not self._stopping.is_set():
+            # Clear before claiming: a job queued after this point
+            # either is claimed below or sets the event again.
+            ready.clear()
             job = await asyncio.to_thread(self.service.process_one)
             if job is None:
-                await asyncio.sleep(0.02)
+                try:
+                    await asyncio.wait_for(ready.wait(), WORKER_IDLE_NAP)
+                except asyncio.TimeoutError:
+                    pass
 
     async def _sweeper(self) -> None:
         """Expire abandoned leases and refresh the SSE compaction
@@ -208,7 +244,12 @@ class ServeServer:
 
     async def _respond(self, writer, status: int, payload: dict,
                        extra_headers: dict | None = None) -> None:
-        body = _json_body(status, payload)
+        await self._send(writer, status, _json_body(status, payload),
+                         extra_headers)
+
+    async def _send(self, writer, status: int, body: bytes,
+                    extra_headers: dict | None = None) -> None:
+        """Write one JSON response whose body is already encoded."""
         headers = [
             f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'OK')}",
             "Content-Type: application/json",
@@ -284,12 +325,16 @@ class ServeServer:
             return
         if path.startswith("/v1/artifacts/") and method == "GET":
             artifact_hash = path[len("/v1/artifacts/"):]
-            artifact = self.service.artifact(artifact_hash)
-            if artifact is None:
+            # Off the loop: the read and the spec-hash check parse a
+            # quarter-megabyte document.  The body is the stored
+            # canonical encoding, so nothing is re-encoded.
+            body = await asyncio.to_thread(self.service.artifact_bytes,
+                                           artifact_hash)
+            if body is None:
                 await self._respond(writer, 404, {
                     "error": f"no artifact {artifact_hash[:12]}..."})
             else:
-                await self._respond(writer, 200, artifact)
+                await self._send(writer, 200, body)
             return
         if path == "/v1/stats" and method == "GET":
             await self._respond(writer, 200, self.service.stats())

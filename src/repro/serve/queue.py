@@ -57,7 +57,8 @@ time rather than handed to a worker.
 
 Thread-safety: all mutation happens under one lock (HTTP accept loop
 and worker threads share the queue).  Each journaled transition also
-notifies registered observers -- the SSE event log rides on these.
+notifies registered observers -- the SSE event log rides on these --
+under that lock, so observers see transitions in LSN order.
 """
 
 from __future__ import annotations
@@ -319,18 +320,26 @@ class JobQueue:
                 job.lease_expires_at = now + (job.lease_ttl
                                               or DEFAULT_LEASE_TTL)
             self._pending_rearm = []
-        for job in requeued:
-            self._notify(job)
         return requeued
 
     def _append(self, job: Job) -> None:
-        """Journal ``job``'s current snapshot durably (lock held)."""
+        """Journal ``job``'s current snapshot durably, then notify the
+        observers (lock held).
+
+        Notifying under the lock hands observers the transitions in
+        LSN order, each with the job as it was journaled.  Outside it,
+        two threads' transitions could arrive swapped, and the SSE
+        event log drops an event not newer than its last one.
+        """
         self._lsn += 1
-        payload = json.dumps({"lsn": self._lsn, "job": job.as_dict()},
+        lsn = self._lsn
+        payload = json.dumps({"lsn": lsn, "job": job.as_dict()},
                              sort_keys=True, separators=(",", ":"))
         self._write_line(payload)
-        self._job_lsn[job.id] = self._lsn
+        self._job_lsn[job.id] = lsn
         self._maybe_roll()
+        for observer in self._observers:
+            observer(lsn, job)
 
     def _write_line(self, payload: str) -> None:
         line = _frame(payload)
@@ -426,12 +435,10 @@ class JobQueue:
         after = sealed.stat().st_size
         return max(0, before - after)
 
-    def _notify(self, job: Job) -> None:
-        for observer in list(self._observers):
-            observer(self._job_lsn.get(job.id, self._lsn), job)
-
     def subscribe(self, observer) -> None:
-        """``observer(lsn, job)`` fires after each durable transition."""
+        """``observer(lsn, job)`` fires after each durable transition,
+        under the queue lock: it must not block or call back into the
+        queue."""
         self._observers.append(observer)
 
     # -- operations -----------------------------------------------------
@@ -457,7 +464,6 @@ class JobQueue:
             self._append(job)
             heapq.heappush(self._ready,
                            (job.priority, self._lsn, job.id))
-        self._notify(job)
         return job
 
     def submit_resolved(self, tenant: str, kind: str, params: dict,
@@ -476,7 +482,6 @@ class JobQueue:
             job.transition(STATE_DONE)
             self._jobs[job.id] = job
             self._append(job)
-        self._notify(job)
         return job
 
     def claim(self, now: float, *, worker: str | None = None,
@@ -486,7 +491,6 @@ class JobQueue:
         lease.  Jobs already past their deadline are failed here with
         a typed reason instead of being handed out.
         """
-        expired: list[Job] = []
         with self._lock:
             job = None
             while self._ready:
@@ -507,7 +511,6 @@ class JobQueue:
                     job.transition(STATE_FAILED)
                     self._append(job)
                     self.deadline_failed += 1
-                    expired.append(job)
                     job = None
                     continue
                 job.transition(STATE_RUNNING)
@@ -519,11 +522,6 @@ class JobQueue:
                                     now)
                 self._append(job)
                 break
-        for dead in expired:
-            self._notify(dead)
-        if job is None:
-            return None
-        self._notify(job)
         return job
 
     def heartbeat(self, identifier: str, worker: str,
@@ -562,8 +560,6 @@ class JobQueue:
                     continue
                 self._expire_one(job, now, max_expiries,
                                  requeued, poisoned)
-        for job in requeued + poisoned:
-            self._notify(job)
         return requeued, poisoned
 
     def _expire_one(self, job: Job, now: float, max_expiries: int,
@@ -608,8 +604,6 @@ class JobQueue:
                 return None
             self._expire_one(job, now, max_expiries,
                              requeued, poisoned)
-        for changed in requeued + poisoned:
-            self._notify(changed)
         return (requeued + poisoned)[0]
 
     def finish(self, job: Job, *, now: float,
@@ -631,7 +625,6 @@ class JobQueue:
                 job.failure = failure
                 job.transition(STATE_FAILED)
             self._append(job)
-        self._notify(job)
         return job
 
     # -- queries --------------------------------------------------------

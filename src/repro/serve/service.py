@@ -554,9 +554,11 @@ class ReproService:
 
     # -- queries --------------------------------------------------------
 
-    def artifact(self, artifact_hash: str) -> dict | None:
-        """Fetch a stored artifact by content hash."""
-        return self.cache.load_by_hash(artifact_hash)
+    def artifact_bytes(self, artifact_hash: str) -> bytes | None:
+        """A stored artifact's canonical JSON bytes by content hash,
+        after the cache's spec-hash check; ``None`` on miss."""
+        found = self.cache.read_by_hash(artifact_hash)
+        return None if found is None else found[0]
 
     def stats(self) -> dict:
         """Service census: queue, journal, fleet, admission, cache,

@@ -31,9 +31,11 @@ from repro.errors import ConfigurationError
 from repro.machine.events import DmaTransfer, InterruptEvent
 from repro.machine.program import Op, OpKind, Program
 from repro.workloads.program_builder import (
+    PRIVATE_REGION,
+    PRIVATE_STRIDE,
+    SHARED_REGION,
     barrier_address,
     lock_address,
-    private_address,
     shared_address,
 )
 
@@ -158,8 +160,9 @@ def _other_thread(spec: SyntheticSpec, thread: int,
 
 
 def _shared_line(spec: SyntheticSpec, thread: int,
-                 rng: random.Random, locality: dict) -> tuple[int, bool]:
-    """Pick a shared line for one item's cluster.
+                 rng: random.Random, item: int) -> tuple[int, bool]:
+    """Pick a shared line for the cluster of the thread's ``item``-th
+    work item.
 
     Returns ``(line_index, writable)``: remote-partition reads are
     read-only (consumer traffic), everything else may be written.
@@ -172,7 +175,7 @@ def _shared_line(spec: SyntheticSpec, thread: int,
     if roll < spec.hot_fraction:
         return rng.randrange(max(1, spec.hot_lines)), True
     base = spec.hot_lines
-    frontier = locality.get("item", 0) // max(1, spec.publish_every)
+    frontier = item // max(1, spec.publish_every)
     if roll < spec.hot_fraction + spec.remote_read_fraction:
         # Consume a lagged publish-ring slot of another thread.  Peer
         # progress is approximated by this thread's own item progress
@@ -201,65 +204,102 @@ def _shared_line(spec: SyntheticSpec, thread: int,
             + rng.randrange(max(1, partition - ring)), True)
 
 
-def _item_ops(spec: SyntheticSpec, thread: int,
-              rng: random.Random,
-              locality: dict) -> list[Op]:
-    """Ops for one work item of one thread.
+def _thread_ops(spec: SyntheticSpec, thread: int, items: int,
+                rng: random.Random) -> list[Op]:
+    """Ops of one thread: ``items`` work items plus periodic barriers.
 
-    ``locality`` carries the thread's last-used shared line between
-    items (see ``shared_reuse``).
+    A work item is a compute block, a cluster of private accesses on
+    one private line, an optional cluster of shared accesses on one
+    shared line (the previous item's line is reused with probability
+    ``shared_reuse``), an optional critical section and the rare
+    truncation sources.
+
+    Program build is on the path of every served record job, so the
+    loop reads nothing per item that it could read once per thread:
+    the RNG method, the spec fields, the op kinds and the region bases
+    are locals, and ops are built positionally.  The sequence of RNG
+    draws defines the program -- including the draws that ``and``
+    short-circuits skip -- and must not change.
     """
+    random_ = rng.random
+    gauss = rng.gauss
+    randrange = rng.randrange
+    COMPUTE, LOAD, STORE = OpKind.COMPUTE, OpKind.LOAD, OpKind.STORE
+    line_words = spec.line_words
+    compute_mean = spec.compute_per_item
+    compute_sigma = compute_mean * 0.25
+    private_lines = spec.private_lines
+    private_base = PRIVATE_REGION + thread * PRIVATE_STRIDE
+    private_offsets = [index % line_words
+                       for index in range(spec.private_accesses_per_item)]
+    shared_offsets = [index % line_words
+                      for index in range(spec.shared_accesses_per_item)]
+    write_fraction = spec.write_fraction
+    sharing_fraction = spec.sharing_fraction
+    shared_reuse = spec.shared_reuse
+    lock_count = spec.lock_count
+    lock_probability = spec.lock_probability
+    hot_lock_fraction = spec.hot_lock_fraction
+    counter_base = SHARED_REGION + (
+        spec.hot_lines + spec.shared_lines + 64) * line_words
+    critical_loads = range(spec.critical_accesses - 1)
+    io_rate = spec.io_rate
+    io_or_special_rate = spec.io_rate + spec.special_rate
+    io_port = thread % 4
+    trap_rate = spec.trap_rate
+    # Barriers only make sense with balanced work.
+    barrier_every = spec.barrier_every if spec.imbalance == 0.0 else 0
+    barrier = barrier_address(0)
+    num_threads = spec.num_threads
+
     ops: list[Op] = []
-    compute = max(1, int(rng.gauss(spec.compute_per_item,
-                                   spec.compute_per_item * 0.25)))
-    ops.append(Op(OpKind.COMPUTE, count=compute))
-    # Private accesses: clustered on one private line per item.
-    base = rng.randrange(spec.private_lines) * spec.line_words
-    for index in range(spec.private_accesses_per_item):
-        address = private_address(thread, base + index % spec.line_words)
-        if rng.random() < spec.write_fraction:
-            ops.append(Op(OpKind.STORE, address=address))
-        else:
-            ops.append(Op(OpKind.LOAD, address=address))
-    # Shared accesses: clustered on one shared line per item.
-    if rng.random() < spec.sharing_fraction:
-        if ("line" in locality
-                and rng.random() < spec.shared_reuse):
-            line, writable = locality["line"], locality["writable"]
-        else:
-            line, writable = _shared_line(spec, thread, rng, locality)
-            locality["line"] = line
-            locality["writable"] = writable
-        base = line * spec.line_words
-        for index in range(spec.shared_accesses_per_item):
-            address = shared_address(base + index % spec.line_words)
-            if writable and rng.random() < spec.write_fraction:
-                ops.append(Op(OpKind.STORE, address=address))
+    append = ops.append
+    line: int | None = None
+    writable = False
+    for item in range(items):
+        compute = max(1, int(gauss(compute_mean, compute_sigma)))
+        append(Op(COMPUTE, 0, None, compute))
+        # Private accesses: clustered on one private line per item.
+        base = private_base + randrange(private_lines) * line_words
+        for offset in private_offsets:
+            if random_() < write_fraction:
+                append(Op(STORE, base + offset))
             else:
-                ops.append(Op(OpKind.LOAD, address=address))
-    # Lock-protected critical section.
-    if spec.lock_count and rng.random() < spec.lock_probability:
-        if rng.random() < spec.hot_lock_fraction:
-            lock_index = 0
-        else:
-            lock_index = rng.randrange(spec.lock_count)
-        lock = lock_address(lock_index)
-        counter = shared_address(
-            (spec.hot_lines + spec.shared_lines + 64) * spec.line_words
-            + lock_index * spec.line_words)
-        ops.append(Op(OpKind.LOCK, address=lock))
-        ops.append(Op(OpKind.RMW, address=counter, value=1))
-        for _ in range(spec.critical_accesses - 1):
-            ops.append(Op(OpKind.LOAD, address=counter))
-        ops.append(Op(OpKind.UNLOCK, address=lock))
-    # Rare deterministic truncation sources.
-    roll = rng.random()
-    if roll < spec.io_rate:
-        ops.append(Op(OpKind.IO_LOAD, address=thread % 4))
-    elif roll < spec.io_rate + spec.special_rate:
-        ops.append(Op(OpKind.SPECIAL))
-    if rng.random() < spec.trap_rate:
-        ops.append(Op(OpKind.TRAP, count=16))
+                append(Op(LOAD, base + offset))
+        # Shared accesses: clustered on one shared line per item.
+        if random_() < sharing_fraction:
+            reuse = line is not None and random_() < shared_reuse
+            if not reuse:
+                line, writable = _shared_line(spec, thread, rng, item)
+            base = SHARED_REGION + line * line_words
+            for offset in shared_offsets:
+                if writable and random_() < write_fraction:
+                    append(Op(STORE, base + offset))
+                else:
+                    append(Op(LOAD, base + offset))
+        # Lock-protected critical section.
+        if lock_count and random_() < lock_probability:
+            if random_() < hot_lock_fraction:
+                lock_index = 0
+            else:
+                lock_index = randrange(lock_count)
+            lock = lock_address(lock_index)
+            counter = counter_base + lock_index * line_words
+            append(Op(OpKind.LOCK, lock))
+            append(Op(OpKind.RMW, counter, 1))
+            for _ in critical_loads:
+                append(Op(LOAD, counter))
+            append(Op(OpKind.UNLOCK, lock))
+        # Rare deterministic truncation sources.
+        roll = random_()
+        if roll < io_rate:
+            append(Op(OpKind.IO_LOAD, io_port))
+        elif roll < io_or_special_rate:
+            append(Op(OpKind.SPECIAL))
+        if random_() < trap_rate:
+            append(Op(OpKind.TRAP, 0, None, 16))
+        if barrier_every and item % barrier_every == barrier_every - 1:
+            append(Op(OpKind.BARRIER, barrier, None, num_threads))
     return ops
 
 
@@ -275,19 +315,7 @@ def build_program(spec: SyntheticSpec) -> Program:
         else:
             skew = 1.0
         items = max(1, int(spec.work_items * skew))
-        ops: list[Op] = []
-        locality: dict = {}
-        for item in range(items):
-            locality["item"] = item
-            ops.extend(_item_ops(spec, thread, thread_rng, locality))
-            if (spec.barrier_every
-                    and item % spec.barrier_every == spec.barrier_every - 1
-                    and spec.imbalance == 0.0):
-                # Barriers only make sense with balanced work.
-                ops.append(Op(OpKind.BARRIER,
-                              address=barrier_address(0),
-                              count=spec.num_threads))
-        threads.append(ops)
+        threads.append(_thread_ops(spec, thread, items, thread_rng))
     initial_memory = {
         shared_address(offset * spec.line_words): offset + 1
         for offset in range(min(spec.shared_lines, 256))}

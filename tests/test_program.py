@@ -1,5 +1,8 @@
 """Tests for the program model: ops, thread state, compute algebra."""
 
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -33,6 +36,92 @@ class TestOpValidation:
         assert hash(op) == hash(Op(OpKind.STORE, address=1, value=2))
         with pytest.raises(AttributeError):
             op.address = 9
+
+
+_FIELD_ORDER = ["kind", "address", "value", "count"]
+
+_op_fields = st.tuples(
+    st.sampled_from(list(OpKind)),
+    st.integers(min_value=0, max_value=1 << 40),
+    st.none() | st.integers(min_value=0, max_value=(1 << 64) - 1),
+    st.integers(min_value=1, max_value=1 << 20))
+
+
+class TestOpConstruction:
+    """The hand-written constructor keeps everything the generated
+    dataclass one gave: the pickle state (and so every stored byte),
+    equality, hashing, repr, immutability, ``replace`` and both
+    validation errors."""
+
+    @given(_op_fields)
+    def test_pickle_state_is_the_fields_in_field_order(self, fields):
+        op = Op(*fields)
+        state = op.__reduce_ex__(4)[2]
+        assert type(state) is dict
+        assert list(state) == _FIELD_ORDER
+        assert list(state.values()) == list(fields)
+
+    @given(_op_fields)
+    def test_keyword_and_positional_construction_agree(self, fields):
+        kind, address, value, count = fields
+        op = Op(kind, address=address, value=value, count=count)
+        assert op == Op(*fields)
+        assert pickle.dumps(op, 4) == pickle.dumps(Op(*fields), 4)
+
+    @given(_op_fields)
+    def test_pickle_round_trip(self, fields):
+        op = Op(*fields)
+        copy = pickle.loads(pickle.dumps(op, 4))
+        assert copy == op
+        assert hash(copy) == hash(op)
+        assert list(copy.__dict__) == _FIELD_ORDER
+
+    @given(_op_fields)
+    def test_repr(self, fields):
+        kind, address, value, count = fields
+        assert repr(Op(*fields)) == (
+            f"Op(kind={kind!r}, address={address!r}, value={value!r}, "
+            f"count={count!r})")
+
+    @given(_op_fields, st.sampled_from(_FIELD_ORDER))
+    def test_assignment_raises_frozen_instance_error(self, fields, name):
+        op = Op(*fields)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(op, name, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(op, name)
+        assert op == Op(*fields)
+
+    @given(_op_fields, st.integers(min_value=0, max_value=1 << 40))
+    def test_replace(self, fields, address):
+        op = Op(*fields)
+        moved = dataclasses.replace(op, address=address)
+        assert moved == Op(fields[0], address, fields[2], fields[3])
+        assert list(moved.__dict__) == _FIELD_ORDER
+        assert op == Op(*fields)
+
+    @given(_op_fields, st.integers(max_value=-1))
+    def test_negative_address_message(self, fields, address):
+        kind, _, value, count = fields
+        with pytest.raises(ConfigurationError) as error:
+            Op(kind, address, value, count)
+        assert str(error.value) == (
+            f"negative address in Op(kind={kind!r}, address={address!r}, "
+            f"value={value!r}, count={count!r})")
+
+    @given(_op_fields, st.integers(max_value=0))
+    def test_non_positive_count_message(self, fields, count):
+        kind, address, value, _ = fields
+        with pytest.raises(ConfigurationError) as error:
+            Op(kind, address, value, count)
+        assert str(error.value) == (
+            f"non-positive count in Op(kind={kind!r}, address={address!r}, "
+            f"value={value!r}, count={count!r})")
+
+    def test_dataclass_fields_are_unchanged(self):
+        assert [f.name for f in dataclasses.fields(Op)] == _FIELD_ORDER
+        assert [f.default for f in dataclasses.fields(Op)][1:] == [
+            0, None, 1]
 
 
 class TestProgramValidation:

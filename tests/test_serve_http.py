@@ -26,6 +26,8 @@ import pytest
 
 from repro.errors import ServeError
 from repro.runner import ResultCache
+from repro.runner.cache import encode_artifact
+from repro.serve import http as http_module
 from repro.serve.client import ServeClient
 from repro.serve.http import ServeServer
 from repro.serve.service import ReproService
@@ -190,6 +192,162 @@ class TestEndpoints:
                 "done"
             stats = client.stats()
             assert stats["metrics"]["serve_rejected"] == 1
+
+
+class TestArtifactFetch:
+    def test_fetch_runs_off_the_event_loop(self, tmp_path):
+        """A slow artifact lookup must not stall other requests: with
+        the lookup blocked, ``/healthz`` still answers."""
+        service = make_service(tmp_path)
+        release = threading.Event()
+        entered = threading.Event()
+        lookup = service.artifact_bytes
+
+        def blocked_lookup(artifact_hash):
+            entered.set()
+            release.wait(15)
+            return lookup(artifact_hash)
+
+        service.artifact_bytes = blocked_lookup
+        with running_server(service) as server:
+            client = ServeClient(port=server.port)
+            job = client.submit("record", {"seed": 1, "scale": 0.05})
+            final = client.wait(job["id"], timeout=30)
+            fetched: dict = {}
+            fetcher = threading.Thread(target=lambda: fetched.update(
+                client.artifact(final["artifact_hash"])))
+            fetcher.start()
+            try:
+                assert entered.wait(10)
+                health = ServeClient(port=server.port, timeout=5)
+                assert health.health()["ok"]
+                assert fetcher.is_alive()
+            finally:
+                release.set()
+                fetcher.join(15)
+            assert fetched["spec_hash"] == final["artifact_hash"]
+
+    def test_body_is_the_stored_canonical_encoding(self, tmp_path):
+        service = make_service(tmp_path)
+        with running_server(service) as server:
+            client = ServeClient(port=server.port)
+            job = client.submit("record", {"seed": 1, "scale": 0.05})
+            artifact_hash = client.wait(job["id"],
+                                        timeout=30)["artifact_hash"]
+            conn = http.client.HTTPConnection("127.0.0.1", server.port,
+                                              timeout=10)
+            conn.request("GET", f"/v1/artifacts/{artifact_hash}")
+            response = conn.getresponse()
+            body = response.read()
+            conn.close()
+            assert response.status == 200
+            assert response.getheader("Content-Length") == str(len(body))
+            path = service.cache.path_for_hash(artifact_hash)
+            assert body == path.read_bytes()
+            assert body == encode_artifact(json.loads(body))
+
+    def test_corrupt_or_foreign_cache_file_is_dropped_not_served(
+            self, tmp_path):
+        service = make_service(tmp_path)
+        with running_server(service) as server:
+            client = ServeClient(port=server.port)
+            for content in (b"{not json", b"[1, 2]",
+                            encode_artifact({"spec_hash": "0" * 64})):
+                artifact_hash = "ab" * 32
+                path = service.cache.path_for_hash(artifact_hash)
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_bytes(content)
+                with pytest.raises(ServeError) as err:
+                    client.artifact(artifact_hash)
+                assert err.value.status == 404
+                assert not path.exists()
+
+    def test_path_outside_the_store_is_neither_read_nor_dropped(
+            self, tmp_path):
+        """Only a 64-hex content hash names an artifact: a traversal
+        segment is a 404 and leaves the file it points at alone."""
+        service = make_service(tmp_path)
+        # <cache>/<salt>/<hash[:2]>/<hash>.json with hash "../victim"
+        # resolves to <tmp_path>/victim.json once the salt directory
+        # exists, as it does after the first store.
+        (service.cache.root / service.cache.salt).mkdir(parents=True)
+        victim = tmp_path / "victim.json"
+        victim.write_bytes(b'{"spec_hash": "../victim"}')
+        assert (service.cache.path_for_hash("../victim").resolve()
+                == victim.resolve())
+        with running_server(service) as server:
+            conn = http.client.HTTPConnection("127.0.0.1", server.port,
+                                              timeout=10)
+            for target in ("/v1/artifacts/../victim",
+                           "/v1/artifacts/" + "AB" * 32):
+                conn.request("GET", target)
+                response = conn.getresponse()
+                response.read()
+                assert response.status == 404, target
+            conn.close()
+        assert service.cache.load_by_hash("../victim") is None
+        assert victim.read_bytes() == b'{"spec_hash": "../victim"}'
+
+
+class TestDispatch:
+    def test_idle_worker_wakes_on_submit_not_on_its_nap(
+            self, tmp_path, monkeypatch):
+        """A submit wakes the idle worker task at once: with the nap
+        stretched to 5 s, a tiny record job still finishes well
+        inside it."""
+        monkeypatch.setattr(http_module, "WORKER_IDLE_NAP", 5.0)
+        service = make_service(tmp_path)
+        with running_server(service) as server:
+            client = ServeClient(port=server.port)
+            time.sleep(0.3)  # the worker found nothing and is napping
+            started = time.perf_counter()
+            job = client.submit("record", {"seed": 1, "scale": 0.05})
+            events = list(client.stream(job["id"]))
+            elapsed = time.perf_counter() - started
+            assert events[-1][1]["job"]["state"] == "done"
+            assert elapsed < 2.0, elapsed
+
+    def test_concurrent_submits_strand_no_job(self, tmp_path,
+                                              monkeypatch):
+        """More worker tasks than cores, each with its own wake-up
+        event, and submits race with claims from several threads:
+        every job still finishes without waiting out the (5 s) nap."""
+        monkeypatch.setattr(http_module, "WORKER_IDLE_NAP", 5.0)
+        service = make_service(tmp_path, jobs=4, capacity=64,
+                               tenant_quota=64)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with running_server(service) as server:
+                client = ServeClient(port=server.port)
+                time.sleep(0.3)  # every worker task is napping
+                ids: list = []
+                lock = threading.Lock()
+
+                def submit_some(base):
+                    for offset in range(6):
+                        job = client.submit("record",
+                                            {"seed": base + offset})
+                        with lock:
+                            ids.append(job["id"])
+
+                started = time.perf_counter()
+                submitters = [threading.Thread(target=submit_some,
+                                               args=(100 * index,))
+                              for index in range(4)]
+                for thread in submitters:
+                    thread.start()
+                for thread in submitters:
+                    thread.join(30)
+                    assert not thread.is_alive()
+                for job_id in ids:
+                    events = list(client.stream(job_id))
+                    assert events[-1][1]["job"]["state"] == "done"
+                elapsed = time.perf_counter() - started
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(set(ids)) == 24
+        assert elapsed < 4.0, elapsed
 
 
 class TestAuthOverHTTP:

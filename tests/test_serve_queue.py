@@ -11,6 +11,8 @@ transitions.
 from __future__ import annotations
 
 import json
+import threading
+import time
 
 import pytest
 
@@ -198,6 +200,44 @@ class TestOperations:
         queue.finish(job, now=3.0, artifact_hash=HASH_A)
         assert seen == [(1, STATE_QUEUED), (2, STATE_RUNNING),
                         (3, STATE_DONE)]
+        queue.close()
+
+    def test_observers_see_concurrent_transitions_in_lsn_order(
+            self, tmp_path):
+        """Threads submitting, claiming and finishing at once: every
+        observer call carries the next LSN and the job exactly as it
+        was journaled, even when one delivery is slow.  (The SSE log
+        drops an event older than its newest one, which strands a
+        per-job stream before its terminal state.)"""
+        queue = build_queue(tmp_path / "q")
+        seen: list[tuple[int, str, str]] = []
+
+        def observe(lsn, job):
+            if lsn == 1:
+                time.sleep(0.05)
+            seen.append((lsn, job.id, job.state))
+
+        queue.subscribe(observe)
+
+        def churn(base):
+            for offset in range(10):
+                queue.submit("t", "record", {"seed": base + offset},
+                             HASH_A, 1.0)
+                job = queue.claim(2.0)
+                if job is not None:
+                    queue.finish(job, now=3.0, artifact_hash=HASH_A)
+
+        threads = [threading.Thread(target=churn, args=(100 * i,))
+                   for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+            assert not thread.is_alive()
+        assert [lsn for lsn, _, _ in seen] == list(range(1, 3 * 40 + 1))
+        records, _ = read_journal(queue.journal_path)
+        assert seen == [(record["lsn"], record["job"]["id"],
+                         record["job"]["state"]) for record in records]
         queue.close()
 
     def test_counts_census(self, tmp_path):

@@ -48,7 +48,7 @@ class TestSubmitAndRun:
         assert service.run_until_idle() == 1
         final = service.queue.get(job.id)
         assert final.state == "done"
-        artifact = service.artifact(final.artifact_hash)
+        artifact = service.cache.load_by_hash(final.artifact_hash)
         assert artifact["spec_hash"] == final.artifact_hash
         service.close()
 
@@ -235,7 +235,7 @@ class TestCrashRecovery:
         final = revived.queue.get(job.id)
         assert final.state == "done" and final.attempts == 2
         assert len(revived.queue.jobs()) == 1  # no duplicates
-        assert revived.artifact(final.artifact_hash) is not None
+        assert revived.artifact_bytes(final.artifact_hash) is not None
         revived.close()
 
     def test_requeued_job_reuses_dead_servers_artifact(self, tmp_path):

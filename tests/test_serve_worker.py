@@ -95,7 +95,7 @@ class TestServiceFleetProtocol:
             artifact_digest=digest)
         assert result["status"] == "ok"
         assert result["job"]["state"] == "done"
-        assert service.artifact(spec.content_hash()) == artifact
+        assert service.cache.load_by_hash(spec.content_hash()) == artifact
         metrics = service.metrics.as_dict(prefix="serve_")
         assert metrics["serve_remote_completed"] == 1
         service.close()
