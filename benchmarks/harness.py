@@ -41,11 +41,8 @@ from repro.runner.jobs import (
     recording_from_artifact,
     result_from_artifact,
 )
-from repro.workloads import (
-    SPLASH2_APPS,
-    commercial_program,
-    splash2_program,
-)
+from repro import workloads
+from repro.workloads import SPLASH2_APPS
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
 SEED = int(os.environ.get("REPRO_BENCH_SEED", "11"))
@@ -117,11 +114,8 @@ def program_for(app: str, num_threads: int = 8, scale: float | None = None):
     """Fresh Program instance for an app (programs are mutable-ish, so
     callers get their own)."""
     scale = SCALE if scale is None else scale
-    if app in COMMERCIAL:
-        return commercial_program(app, scale=scale, seed=SEED,
-                                  num_threads=num_threads)
-    return splash2_program(app, scale=scale, seed=SEED,
-                           num_threads=num_threads)
+    return workloads.program_for(app, scale=scale, seed=SEED,
+                                 num_threads=num_threads)
 
 
 def record_app(app: str, mode: ExecutionMode, chunk_size: int = 0,

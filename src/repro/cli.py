@@ -41,6 +41,7 @@ from repro.faults import (
     execute_chaos_spec,
     run_campaign,
 )
+from repro.runner.jobs import JOB_KINDS
 from repro.runner.retry import RetryPolicy
 from repro.runner import (
     ConsoleReporter,
@@ -64,13 +65,7 @@ from repro.runner.figures import (
     specs_for,
     validate_apps,
 )
-from repro.workloads import (
-    BUG_ZOO,
-    COMMERCIAL_APPS,
-    SPLASH2_APPS,
-    commercial_program,
-    splash2_program,
-)
+from repro.workloads import BUG_ZOO, WORKLOAD_APPS, program_for
 from repro.workloads.stress import (
     handoff_program,
     racey_program,
@@ -80,7 +75,9 @@ from repro.workloads.stress import (
 
 # Determinism-stress and stall-zoo workloads (repro.workloads.stress).
 # The zoo specimens (starvation, squash-livelock) hang an unsupervised
-# run by construction -- record them with --supervised.
+# run by construction -- record them with --supervised.  Only the
+# commands that build programs here (record, trace) take them; the
+# runner-backed commands build through repro.workloads.program_for.
 STRESS_APPS = {
     "racey": lambda scale, seed: racey_program(
         rounds=max(1, int(240 * scale)), seed=seed),
@@ -103,11 +100,7 @@ _MODES = {
 def _program_for(args):
     if args.workload in STRESS_APPS:
         return STRESS_APPS[args.workload](args.scale, args.seed)
-    if args.workload in COMMERCIAL_APPS:
-        return commercial_program(args.workload, scale=args.scale,
-                                  seed=args.seed)
-    return splash2_program(args.workload, scale=args.scale,
-                           seed=args.seed)
+    return program_for(args.workload, scale=args.scale, seed=args.seed)
 
 
 def _system_for(args) -> DeLoreanSystem:
@@ -814,17 +807,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="DeLorean chunk-based deterministic record/replay",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    workloads = (sorted(SPLASH2_APPS) + sorted(COMMERCIAL_APPS)
-                 + sorted(STRESS_APPS))
+    buildable = list(WORKLOAD_APPS) + sorted(STRESS_APPS)
 
-    def add_workload_options(p):
-        p.add_argument("workload", choices=workloads)
+    def add_workload_options(p, choices=WORKLOAD_APPS):
+        p.add_argument("workload", choices=choices)
         p.add_argument("--scale", type=float, default=0.5,
                        help="workload scale factor (default 0.5)")
         p.add_argument("--seed", type=int, default=1)
 
     record = sub.add_parser("record", help="record an execution")
-    add_workload_options(record)
+    add_workload_options(record, buildable)
     record.add_argument("--mode", choices=sorted(_MODES),
                         default="order-only")
     record.add_argument("--chunk-size", type=int, default=None)
@@ -879,7 +871,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="record (and optionally replay) a workload with the "
              "event tracer on and export a Perfetto timeline")
     trace.add_argument("--app", dest="workload", required=True,
-                       choices=workloads, help="workload to trace")
+                       choices=buildable, help="workload to trace")
     trace.add_argument("--mode", default="order-only",
                        help="execution mode (dashes optional: "
                             "orderonly == order-only)")
@@ -982,7 +974,7 @@ def build_parser() -> argparse.ArgumentParser:
              "substrate, then bisect any failure to a minimal "
              "debugger-loadable repro")
     explore.add_argument(
-        "workload", choices=sorted(BUG_ZOO) + workloads,
+        "workload", choices=sorted(BUG_ZOO) + list(WORKLOAD_APPS),
         help="a bug-zoo specimen or any standard workload")
     explore.add_argument("--mode", default="order-only",
                          help="execution mode (separator-"
@@ -1209,8 +1201,7 @@ def build_parser() -> argparse.ArgumentParser:
         "submit", help="submit one job to a running repro serve")
     submit.add_argument(
         "kind",
-        choices=["record", "replay", "consistency", "explore",
-                 "chaos", "salvage", "bench"])
+        choices=JOB_KINDS)
     submit.add_argument("--param", action="append", metavar="K=V",
                         help="job parameter (repeatable); values "
                              "parse as JSON when possible, e.g. "

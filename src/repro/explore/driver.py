@@ -64,12 +64,12 @@ def execute_explore_spec(spec, cache=None) -> dict:
     """
     from repro.guard.supervisor import supervise_record
     from repro.machine.system import replay_execution
-    from repro.runner.jobs import _base_artifact, _program_for
+    from repro.runner.jobs import _base_artifact, _program
 
     if spec.kind != "explore":
         raise ConfigurationError(
             f"execute_explore_spec got a {spec.kind!r} spec")
-    program = _program_for(spec)
+    program = _program(spec)
     plan = spec.schedule_plan()
     mode = spec.execution_mode()
     mode_config = preferred_config(mode)

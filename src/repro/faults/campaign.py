@@ -40,8 +40,7 @@ from repro.errors import IntegrityError, ReproError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.faults.salvage import salvage_from_blob, salvage_replay
-from repro.workloads import COMMERCIAL_APPS, commercial_program, \
-    splash2_program
+from repro.workloads import program_for
 
 #: Outcome buckets, in decreasing order of comfort.
 OUTCOMES = ("harmless", "detected", "recovered", "silent-divergence")
@@ -264,10 +263,7 @@ def record_baseline(app: str, mode, scale: float = 1.0,
     """Record the campaign's baseline execution (with interval
     checkpoints, so salvage has resync points) and return
     ``(recording, v2 blob)``."""
-    if app in COMMERCIAL_APPS:
-        program = commercial_program(app, scale=scale, seed=seed)
-    else:
-        program = splash2_program(app, scale=scale, seed=seed)
+    program = program_for(app, scale=scale, seed=seed)
     system = DeLoreanSystem(mode=mode)
     recording = system.record(program,
                               checkpoint_every=checkpoint_every,

@@ -23,6 +23,7 @@ from pathlib import Path
 
 from repro.core.delorean import DeLoreanSystem
 from repro.core.modes import ExecutionMode
+from repro.workloads import program_for
 
 #: Document schema; bump on layout changes.
 BASELINE_SCHEMA = 1
@@ -42,22 +43,10 @@ BASELINE_MODES = (
 BASELINE_FIGURES = ("fig10", "fig11")
 
 
-def _program(app: str, scale: float, seed: int):
-    from repro.workloads import (
-        COMMERCIAL_APPS,
-        commercial_program,
-        splash2_program,
-    )
-
-    if app in COMMERCIAL_APPS:
-        return commercial_program(app, scale=scale, seed=seed)
-    return splash2_program(app, scale=scale, seed=seed)
-
-
 def _mode_throughput(app: str, mode: ExecutionMode, scale: float,
                      seed: int) -> dict:
     """Record then replay once, timing each phase separately."""
-    program = _program(app, scale, seed)
+    program = program_for(app, scale=scale, seed=seed)
     system = DeLoreanSystem(mode=mode)
     started = time.perf_counter()
     recording = system.record(program)

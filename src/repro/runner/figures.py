@@ -24,7 +24,7 @@ from repro.baselines import ConsistencyModel
 from repro.core.modes import ExecutionMode
 from repro.errors import ConfigurationError
 from repro.runner.specs import RunSpec
-from repro.workloads import COMMERCIAL_APPS, SPLASH2_APPS
+from repro.workloads import SPLASH2_APPS, WORKLOAD_APPS
 
 #: Default workload set: the SPLASH-2 stand-ins plus the commercial
 #: apps, in the paper's presentation order.
@@ -289,10 +289,9 @@ def specs_for(figures, apps=DEFAULT_APPS, scale: float = 1.0,
 
 def validate_apps(apps) -> tuple:
     """Check an ``--apps`` selection against the known workloads."""
-    known = set(DEFAULT_APPS) | set(COMMERCIAL_APPS)
-    unknown = [app for app in apps if app not in known]
+    unknown = [app for app in apps if app not in WORKLOAD_APPS]
     if unknown:
         raise ConfigurationError(
             f"unknown app(s): {', '.join(unknown)} "
-            f"(known: {', '.join(sorted(known))})")
+            f"(known: {', '.join(sorted(WORKLOAD_APPS))})")
     return tuple(apps)

@@ -1,16 +1,33 @@
-"""Job execution: turn a :class:`RunSpec` into a result artifact.
+"""Job execution: the job-kind table, and spec -> result artifact.
 
-This module is the worker side of the runner.  :func:`execute_spec`
-runs one simulation and packages the outcome as a JSON-serializable
-*artifact*::
+:data:`JOB_TABLE` holds one :class:`JobKind` row per job kind: the
+kind's parameters (type, default, allowed values, required), the
+function that turns resolved parameters into a content-hashed spec,
+and the executor that runs such a spec.  Four kinds build a
+:class:`~repro.runner.specs.RunSpec` (``record``, ``replay``,
+``consistency``, ``explore``); three wrap higher-level campaigns
+and build a :class:`~repro.runner.specs.CampaignSpec`:
+
+* ``chaos``   -- a :func:`repro.faults.campaign.run_campaign` fault
+  campaign;
+* ``salvage`` -- :func:`repro.faults.salvage.salvage_replay` over a
+  recording artifact already in the cache (addressed by hash);
+* ``bench``   -- a :func:`repro.runner.baseline.collect_baseline`
+  performance snapshot.
+
+The serve layer's admission (:mod:`repro.serve.kinds`), the CLI's
+``submit`` choices and :func:`execute_spec` all read this one table.
+
+:func:`execute_spec` runs one spec of any kind and packages the
+outcome as a JSON-serializable *artifact*::
 
     {
       "schema": 1,
-      "kind": "record" | "replay" | "consistency",
+      "kind": "record" | "replay" | ... | "bench",
       "spec": {...canonical spec...},
       "spec_hash": "...",
       "metrics": {...figure-ready numbers...},
-      "payload_codec": "dlrn" | "pickle",
+      "payload_codec": "dlrn" | "pickle",   # simulation kinds
       "payload": "<base64>",
     }
 
@@ -22,6 +39,7 @@ so the benchmark harness can hand callers real ``Recording`` /
 ``ReplayResult`` / ``InterleavedResult`` instances reconstructed from
 cache.  Both encodings are deterministic: executing the same spec
 twice yields byte-identical artifacts (the cache determinism guard).
+The campaign kinds carry their campaign's report instead of a payload.
 
 :func:`invoke` is the actual pool entry point: it wraps
 :func:`execute_spec` with a hard per-job timeout -- SIGALRM on a unix
@@ -40,17 +58,18 @@ import pickle
 import signal
 import time
 import traceback
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
-from repro.baselines import InterleavedExecutor
+from repro.baselines import ConsistencyModel, InterleavedExecutor
 from repro.core.delorean import DeLoreanSystem
+from repro.core.modes import ExecutionMode
 from repro.core.replayer import ReplayPerturbation
 from repro.core.serialization import load_recording, save_recording
-from repro.runner.specs import RunSpec
-from repro.workloads import (
-    COMMERCIAL_APPS,
-    commercial_program,
-    splash2_program,
-)
+from repro.errors import ConfigurationError
+from repro.runner.specs import CampaignSpec, RunSpec
+from repro.workloads import APP_NAMES, WORKLOAD_APPS, program_for
 
 #: Pickle protocol pinned for byte-stable payloads across interpreters.
 _PICKLE_PROTOCOL = 4
@@ -60,20 +79,12 @@ class JobTimeout(Exception):
     """A job exceeded its per-job wall-clock budget."""
 
 
-def _program_for(spec: RunSpec):
-    if spec.app.startswith("zoo:"):
-        from repro.workloads.bugzoo import zoo_specimen
-
-        return zoo_specimen(spec.app[len("zoo:"):]).build()
-    if spec.app in COMMERCIAL_APPS:
-        return commercial_program(spec.app, scale=spec.scale,
-                                  seed=spec.seed,
-                                  num_threads=spec.num_threads)
-    return splash2_program(spec.app, scale=spec.scale, seed=spec.seed,
-                           num_threads=spec.num_threads)
+def _program(spec: RunSpec):
+    return program_for(spec.app, scale=spec.scale, seed=spec.seed,
+                       num_threads=spec.num_threads)
 
 
-def _base_artifact(spec: RunSpec) -> dict:
+def _base_artifact(spec) -> dict:
     return {
         "schema": 1,
         "kind": spec.kind,
@@ -109,7 +120,7 @@ def _run_record(spec: RunSpec, cache=None) -> dict:
         machine_config=spec.machine_config(),
         chunk_size=spec.chunk_size or None,
     )
-    recording = system.record(_program_for(spec))
+    recording = system.record(_program(spec))
     artifact = _base_artifact(spec)
     artifact["metrics"] = _record_metrics(recording)
     artifact["payload_codec"] = "dlrn"
@@ -152,7 +163,7 @@ def _run_replay(spec: RunSpec, cache=None) -> dict:
 
 def _run_consistency(spec: RunSpec, cache=None) -> dict:
     executor = InterleavedExecutor(
-        _program_for(spec),
+        _program(spec),
         spec.machine_config(),
         spec.consistency_model(),
         collect_trace=spec.collect_trace,
@@ -180,22 +191,143 @@ def _run_explore(spec: RunSpec, cache=None) -> dict:
     return execute_explore_spec(spec, cache)
 
 
-_RUNNERS = {
-    "record": _run_record,
-    "replay": _run_replay,
-    "consistency": _run_consistency,
-    "explore": _run_explore,
+def _run_chaos(spec: CampaignSpec, cache=None) -> dict:
+    from repro.faults.campaign import run_campaign
+
+    params = spec.param_dict
+    params["mode"] = ExecutionMode(params["mode"])
+    report = run_campaign(**params)
+    artifact = _base_artifact(spec)
+    artifact["metrics"] = {
+        "injected": len(report.results),
+        "failures": len(report.failures),
+        "invariant_ok": report.invariant_ok,
+    }
+    artifact["report"] = report.as_dict()
+    return artifact
+
+
+def _run_salvage(spec: CampaignSpec, cache=None) -> dict:
+    from repro.faults.salvage import salvage_replay
+
+    params = spec.param_dict
+    if cache is None:
+        raise ConfigurationError(
+            "salvage jobs need a result cache to resolve "
+            "recording_hash")
+    recording_artifact = cache.load_by_hash(params["recording_hash"])
+    if recording_artifact is None:
+        raise ConfigurationError(
+            f"no cached artifact {params['recording_hash'][:12]}... "
+            f"to salvage (record it first)")
+    recording = recording_from_artifact(recording_artifact)
+    report = salvage_replay(recording,
+                            max_events=params.get("max_events"))
+    artifact = _base_artifact(spec)
+    artifact["metrics"] = {"coverage": report.coverage}
+    artifact["report"] = report.as_dict()
+    return artifact
+
+
+def _run_bench(spec: CampaignSpec, cache=None) -> dict:
+    from repro.runner.baseline import collect_baseline
+
+    baseline = collect_baseline(**spec.param_dict)
+    artifact = _base_artifact(spec)
+    artifact["metrics"] = {"modes": sorted(baseline.get("modes", {}))}
+    artifact["baseline"] = baseline
+    return artifact
+
+
+@dataclass(frozen=True)
+class Param:
+    """One job parameter.
+
+    ``type`` coerces the submitted value.  ``default=None`` leaves an
+    unset parameter out of the resolved parameters, so the spec
+    constructor's own default applies and no null enters a hashed form.
+    A non-empty ``choices`` lists the only values the job can run.
+    """
+
+    type: type
+    default: object = None
+    required: bool = False
+    choices: tuple = ()
+
+
+@dataclass(frozen=True)
+class JobKind:
+    """One row of :data:`JOB_TABLE`."""
+
+    params: dict                      # name -> Param
+    build: Callable[..., object]      # resolved params -> spec
+    execute: Callable[..., dict]      # (spec, cache) -> artifact
+
+
+def _campaign_spec(kind: str, **params) -> CampaignSpec:
+    return CampaignSpec(kind=kind, params=tuple(params.items()))
+
+
+def _workload(apps: tuple, scale: float, seed: int) -> dict:
+    return {"app": Param(str, "fft", choices=apps),
+            "scale": Param(float, scale), "seed": Param(int, seed)}
+
+
+_MODE = Param(str, "order_only",
+              choices=tuple(mode.value for mode in ExecutionMode))
+_RUN = {**_workload(APP_NAMES, 1.0, 11), "num_threads": Param(int, 8)}
+_CHUNK = {"chunk_size": Param(int, 0)}
+
+#: Every job kind, one row each.  Parameter names are the keyword
+#: names of the row's spec constructor (``RunSpec`` classmethods) or,
+#: for the campaign kinds, of the function its executor calls.
+#: Service-level scheduling parameters (``priority``, ``deadline``)
+#: never appear here: admission strips them before validation, so
+#: they steer the queue without perturbing the spec's content hash.
+JOB_TABLE: dict[str, JobKind] = {
+    "record": JobKind(
+        {**_RUN, **_CHUNK, "mode": _MODE, "simultaneous": Param(int, 0)},
+        RunSpec.record, _run_record),
+    "replay": JobKind(
+        {**_RUN, **_CHUNK, "mode": _MODE,
+         "use_strata": Param(bool, False), "perturb_seed": Param(int)},
+        RunSpec.replay, _run_replay),
+    "consistency": JobKind(
+        {**_RUN, "collect_trace": Param(bool, False),
+         "model": Param(str, "sc", choices=tuple(
+             model.value for model in ConsistencyModel))},
+        RunSpec.consistency, _run_consistency),
+    "explore": JobKind(
+        {**_RUN, **_CHUNK, "mode": _MODE, "schedule_seed": Param(int)},
+        RunSpec.explore, _run_explore),
+    "chaos": JobKind(
+        {**_workload(WORKLOAD_APPS, 0.25, 1), "mode": _MODE,
+         "plan_seed": Param(int, 7), "fault_count": Param(int, 12),
+         "checkpoint_every": Param(int, 32)},
+        partial(_campaign_spec, "chaos"), _run_chaos),
+    "salvage": JobKind(
+        {"recording_hash": Param(str, required=True),
+         "max_events": Param(int)},
+        partial(_campaign_spec, "salvage"), _run_salvage),
+    "bench": JobKind(
+        {**_workload(WORKLOAD_APPS, 0.3, 11), "jobs": Param(int, 1)},
+        partial(_campaign_spec, "bench"), _run_bench),
 }
 
+JOB_KINDS = tuple(JOB_TABLE)
 
-def execute_spec(spec: RunSpec, cache=None) -> dict:
-    """Run one spec to completion and return its artifact.
 
-    ``cache`` (a :class:`~repro.runner.cache.ResultCache`) lets jobs
-    with dependencies -- a replay needs its recording -- reuse and
-    populate cached intermediates instead of recomputing them.
+def execute_spec(spec, cache=None) -> dict:
+    """Run one spec of any kind to completion; return its artifact.
+
+    The ``job_fn`` of the runner, the service and the fleet worker:
+    module-level (so it crosses the process-pool boundary) and shaped
+    ``(spec, cache)`` for :func:`invoke`.  ``cache`` (a
+    :class:`~repro.runner.cache.ResultCache`) lets jobs with
+    dependencies -- a replay needs its recording, a salvage its
+    recording artifact -- reuse and populate cached intermediates.
     """
-    return _RUNNERS[spec.kind](spec, cache)
+    return JOB_TABLE[spec.kind].execute(spec, cache)
 
 
 def recording_from_artifact(artifact: dict):

@@ -1,4 +1,4 @@
-"""Canonical run specifications and their content hashes.
+"""Canonical job specifications and their content hashes.
 
 A :class:`RunSpec` names one simulation run -- the experiment suite's
 unit of work: recording an app under a DeLorean mode, replaying such a
@@ -17,6 +17,10 @@ the result cache:
 
 Specs are small frozen dataclasses: hashable, picklable (they cross
 the process-pool boundary) and order-insensitive to construct.
+
+A :class:`CampaignSpec` carries the same cache contract for the job
+kinds that wrap a higher-level campaign instead of one simulation
+(``chaos``, ``salvage``, ``bench``; see :mod:`repro.runner.jobs`).
 """
 
 from __future__ import annotations
@@ -33,6 +37,10 @@ from repro.machine.timing import MachineConfig
 #: Bump when the artifact schema or job semantics change in a way that
 #: must invalidate every cached result regardless of spec equality.
 SPEC_SCHEMA_VERSION = 1
+
+#: Schema stamp for campaign-spec canonical forms (cache invalidation
+#: lever, independent of RunSpec's).
+CAMPAIGN_SCHEMA = 1
 
 _KINDS = ("record", "replay", "consistency", "explore")
 
@@ -248,3 +256,49 @@ class RunSpec:
             extras.append(f"p={self.num_threads}")
         suffix = f" [{' '.join(extras)}]" if extras else ""
         return f"{self.kind}:{self.app}/{what}{suffix}"
+
+
+@dataclass(frozen=True)
+class CampaignSpec:
+    """Content-hashed spec of a job kind with no RunSpec form.
+
+    Mirrors the RunSpec cache contract: ``canonical()`` is a
+    JSON-stable dictionary, ``content_hash()`` its SHA-256,
+    ``label()`` a short human name.  ``params`` is a sorted tuple of
+    ``(name, value)`` pairs so the dataclass stays hashable and
+    order-insensitive to construct; the job-kind table fills in every
+    default before building one, so the same work hashes once.
+    """
+
+    kind: str
+    params: tuple = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "params",
+            tuple(sorted((str(k), v) for k, v in self.params)))
+
+    @property
+    def param_dict(self) -> dict:
+        return dict(self.params)
+
+    def canonical(self) -> dict:
+        data = {"schema": CAMPAIGN_SCHEMA, "kind": self.kind}
+        for name, value in self.params:
+            data[name] = repr(value) if isinstance(value, float) \
+                else value
+        return data
+
+    def canonical_json(self) -> str:
+        return json.dumps(self.canonical(), sort_keys=True,
+                          separators=(",", ":"))
+
+    def content_hash(self) -> str:
+        return hashlib.sha256(
+            self.canonical_json().encode()).hexdigest()
+
+    def label(self) -> str:
+        params = self.param_dict
+        app = params.get("app") or \
+            params.get("recording_hash", "")[:12]
+        return f"{self.kind}:{app}" if app else self.kind

@@ -14,9 +14,8 @@ crash-consistent service:
   streaming of job transitions (:mod:`repro.serve.http`);
 * :class:`ServeClient` -- blocking client for the CLI and CI
   (:mod:`repro.serve.client`);
-* :func:`build_job_spec` / :func:`execute_job_spec` -- the job-kind
-  registry mapping service requests onto runner specs and campaign
-  drivers (:mod:`repro.serve.kinds`);
+* :func:`build_job_spec` -- admission of service requests against the
+  runner's job-kind table (:mod:`repro.serve.kinds`);
 * :class:`AdmissionController` -- bounded queue depth, per-tenant
   quotas, guard-budget job deadlines (:mod:`repro.serve.admission`);
 * :class:`ServeWorker` -- the ``repro worker`` fleet process pulling
@@ -31,14 +30,8 @@ from repro.serve.admission import (
 )
 from repro.serve.client import ServeClient
 from repro.serve.http import ServeServer, run_server
-from repro.serve.kinds import (
-    CAMPAIGN_KINDS,
-    JOB_KINDS,
-    RUNSPEC_KINDS,
-    CampaignSpec,
-    build_job_spec,
-    execute_job_spec,
-)
+from repro.runner.specs import CampaignSpec
+from repro.serve.kinds import JOB_KINDS, build_job_spec
 from repro.serve.model import (
     STATES,
     TERMINAL_STATES,
@@ -58,7 +51,6 @@ from repro.serve.worker import ServeWorker, run_worker
 __all__ = [
     "AdmissionController",
     "AdmissionDecision",
-    "CAMPAIGN_KINDS",
     "CampaignSpec",
     "EventLog",
     "JOB_KINDS",
@@ -66,7 +58,6 @@ __all__ = [
     "JobQueue",
     "JobStateError",
     "Lease",
-    "RUNSPEC_KINDS",
     "ReproService",
     "STATES",
     "ServeClient",
@@ -75,7 +66,6 @@ __all__ = [
     "TERMINAL_STATES",
     "WorkerRegistry",
     "build_job_spec",
-    "execute_job_spec",
     "format_sse",
     "read_journal",
     "read_journal_dir",

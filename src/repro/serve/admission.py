@@ -31,6 +31,7 @@ claim time with a typed reason instead of wasting a worker).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
@@ -68,7 +69,7 @@ def split_service_params(params: dict) -> tuple[dict, dict]:
         if isinstance(raw_priority, bool):
             raise TypeError
         priority = int(raw_priority)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigurationError(
             f"priority must be an integer, got {raw_priority!r}"
         ) from None
@@ -80,9 +81,10 @@ def split_service_params(params: dict) -> tuple[dict, dict]:
             raise ConfigurationError(
                 f"deadline must be seconds (number), got "
                 f"{raw_deadline!r}") from None
-        if deadline <= 0:
+        if not (0 < deadline < math.inf):
             raise ConfigurationError(
-                f"deadline must be positive seconds, got {deadline:g}")
+                f"deadline must be positive finite seconds, got "
+                f"{deadline:g}")
     return spec_params, {"priority": priority, "deadline": deadline}
 
 

@@ -349,6 +349,8 @@ class ServeServer:
                 raise ValueError("body must be a JSON object")
             kind = request.get("kind", "")
             params = request.get("params") or {}
+            if not isinstance(params, dict):
+                raise ValueError("params must be a JSON object")
             tenant = str(request.get("tenant") or "default")
         except (ValueError, UnicodeDecodeError) as error:
             await self._respond(writer, 400, {"error": str(error)})

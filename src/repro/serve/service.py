@@ -56,7 +56,7 @@ from repro.serve.admission import (
     AdmissionDecision,
     split_service_params,
 )
-from repro.serve.kinds import build_job_spec, execute_job_spec
+from repro.serve.kinds import build_job_spec
 from repro.serve.lease import (
     DEFAULT_DEGRADED_AFTER,
     DEFAULT_LEASE_TTL,
@@ -88,7 +88,7 @@ class ReproService:
                  budgets: Budgets | None = None,
                  metrics: MetricsRegistry | None = None,
                  tracer: Tracer | None = None,
-                 job_fn=execute_job_spec,
+                 job_fn=jobs_module.execute_spec,
                  auth_token: str | None = None,
                  lease_ttl: float | None = None,
                  max_lease_expiries: int | None = None,

@@ -32,8 +32,12 @@ from repro.workloads.bugzoo import (
     ZooSpecimen,
     zoo_specimen,
 )
+from repro.workloads.catalog import APP_NAMES, WORKLOAD_APPS, program_for
 
 __all__ = [
+    "APP_NAMES",
+    "WORKLOAD_APPS",
+    "program_for",
     "BUG_ZOO",
     "InvariantVerdict",
     "ZooSpecimen",

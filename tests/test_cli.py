@@ -25,6 +25,35 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize("argv", [["modes", "racey"],
+                                      ["explore", "handoff"],
+                                      ["chaos", "racey"],
+                                      ["chaos", "squash-livelock"]])
+    def test_runner_commands_reject_stress_apps(self, argv, capsys):
+        """The runner builds programs through program_for, which has
+        no stress apps: they fail at parsing, before any job runs."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_program_building_commands_keep_stress_apps(self):
+        assert build_parser().parse_args(
+            ["record", "racey"]).workload == "racey"
+        assert build_parser().parse_args(
+            ["trace", "--app", "starvation"]).workload == "starvation"
+        assert build_parser().parse_args(
+            ["explore", "lost-update"]).workload == "lost-update"
+
+    def test_submit_kinds_come_from_the_job_table(self):
+        from repro.runner.jobs import JOB_TABLE
+
+        for kind in JOB_TABLE:
+            assert build_parser().parse_args(
+                ["submit", kind]).kind == kind
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["submit", "dance"])
+
 
 class TestRecordReplayFlow:
     @pytest.fixture

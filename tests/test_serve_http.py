@@ -140,9 +140,11 @@ class TestEndpoints:
             with pytest.raises(ServeError) as err:
                 client.submit("record", {"warp": 9})
             assert err.value.status == 400
-            with pytest.raises(ServeError) as err:
-                client.submit("dance", {})
-            assert err.value.status == 400
+            for kind, params in [("dance", {}), (["record"], {}),
+                                 ("record", "seed=1")]:
+                with pytest.raises(ServeError) as err:
+                    client.submit(kind, params)
+                assert err.value.status == 400
 
     def test_unknown_mode_or_app_gets_400(self, tmp_path):
         service = make_service(tmp_path)
@@ -156,6 +158,25 @@ class TestEndpoints:
                 assert err.value.status == 400
                 assert "must be one of" in str(err.value)
             assert client.jobs() == []
+
+    def test_raw_nan_body_gets_400(self, tmp_path):
+        """json.loads accepts bare NaN/Infinity; admission must not."""
+        service = make_service(tmp_path)
+        with running_server(service) as server:
+            for literal in ("NaN", "Infinity"):
+                conn = http.client.HTTPConnection("127.0.0.1",
+                                                  server.port, timeout=10)
+                conn.request(
+                    "POST", "/v1/jobs",
+                    body=('{"kind": "record", "params": {"scale": %s}}'
+                          % literal).encode(),
+                    headers={"Content-Type": "application/json"})
+                response = conn.getresponse()
+                error = json.loads(response.read())["error"]
+                conn.close()
+                assert response.status == 400
+                assert "finite" in error
+            assert ServeClient(port=server.port).jobs() == []
 
     def test_unknown_resources_get_404(self, tmp_path):
         service = make_service(tmp_path)

@@ -78,6 +78,16 @@ class TestSubmitAndRun:
             assert decision.admitted and job.state == "queued"
         service.close()
 
+    def test_non_finite_float_raises_before_admission(self, tmp_path):
+        """NaN/inf would only fail in the worker, after being hashed
+        and queued; admission refuses them instead."""
+        service = make_service(tmp_path)
+        for value in (float("nan"), float("inf"), "nan", "-inf"):
+            with pytest.raises(ConfigurationError, match="finite"):
+                service.submit("record", {"scale": value})
+        assert service.queue.counts().depth == 0
+        service.close()
+
     def test_failure_reaches_failed_with_error(self, tmp_path):
         service = make_service(tmp_path, job_fn=failing_job)
         job, _ = service.submit("record", {"seed": 1})
@@ -132,8 +142,13 @@ class TestSchedulingParams:
         service = make_service(tmp_path)
         with pytest.raises(ConfigurationError, match="priority"):
             service.submit("record", {"seed": 1, "priority": "high"})
-        with pytest.raises(ConfigurationError, match="deadline"):
-            service.submit("record", {"seed": 1, "deadline": -1})
+        with pytest.raises(ConfigurationError, match="priority"):
+            service.submit("record", {"seed": 1,
+                                      "priority": float("inf")})
+        for deadline in (-1, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match="deadline"):
+                service.submit("record", {"seed": 1,
+                                          "deadline": deadline})
         assert service.queue.counts().depth == 0
         service.close()
 
