@@ -22,7 +22,9 @@ Outcome vocabulary (see :data:`repro.explore.report.EXPLORE_OUTCOMES`):
 ``failure`` is reserved for violations that *replay
 deterministically* -- a reproducible schedule-dependent bug.  A
 violation whose recording diverges on replay is a ``divergence``
-(substrate bug), and a run the guard had to kill is a ``stall``.
+(substrate bug), a run the guard had to kill (or the runner timed
+out) is a ``stall``, and a job that failed for any other reason is an
+``error``.
 """
 
 from __future__ import annotations
@@ -164,7 +166,7 @@ class ScheduleOutcome:
     spec: object                # the RunSpec that ran
     plan: SchedulePlan
     source: str                 # baseline | dpor | races | pct
-    outcome: str                # pass | failure | divergence | stall
+    outcome: str                # one of EXPLORE_OUTCOMES
     classification: str
     detail: str
     grant_order: tuple
@@ -200,10 +202,14 @@ class ScheduleOutcome:
     def from_job(cls, spec, plan: SchedulePlan, source: str,
                  job) -> "ScheduleOutcome":
         if not job.ok:
+            # A runner-level timeout is a stall; any other job failure
+            # (a bad configuration, a crash) never explored a schedule.
             failure = job.failure
             return cls(
                 spec=spec, plan=plan, source=source,
-                outcome="stall",
+                outcome=("stall" if failure
+                         and failure.error_type == "JobTimeout"
+                         else "error"),
                 classification=(f"job-{failure.error_type}"
                                 if failure else "job-error"),
                 detail=(failure.last.message
@@ -386,6 +392,7 @@ def _count_outcomes(report: ExploreReport, tracer) -> None:
     metrics.counter("explore_failures").inc(counts["failure"])
     metrics.counter("explore_divergences").inc(counts["divergence"])
     metrics.counter("explore_stalls").inc(counts["stall"])
+    metrics.counter("explore_errors").inc(counts["error"])
     metrics.counter("explore_cached").inc(
         sum(1 for r in report.results if r.cached))
     metrics.counter("explore_frontier_branches").inc(

@@ -23,8 +23,11 @@ from pathlib import Path
 #: * ``divergence`` -- the invariant broke but the recording did not
 #:   replay faithfully (a substrate bug, not a workload bug).
 #: * ``stall`` -- the run never completed (deadlock / budget / stall,
-#:   per the guard's classification).
-EXPLORE_OUTCOMES = ("pass", "failure", "divergence", "stall")
+#:   per the guard's classification, or the runner's job timeout).
+#: * ``error`` -- the job failed before a schedule ran to an end (a bad
+#:   configuration, a crashed worker); the classification names the
+#:   error type.
+EXPLORE_OUTCOMES = ("pass", "failure", "divergence", "stall", "error")
 
 #: Where each explored plan came from.
 PLAN_SOURCES = ("baseline", "dpor", "races", "pct", "bisect")

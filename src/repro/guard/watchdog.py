@@ -288,17 +288,29 @@ class Watchdog:
                 events)
 
 
+def async_raise(thread: threading.Thread, exception: type) -> None:
+    """Raise ``exception`` in ``thread`` at its next bytecode.
+
+    ``PyThreadState_SetAsyncExc`` interrupts compute-bound Python code
+    on any platform; a thread blocked in a C call only sees the
+    exception once it returns to the interpreter.  A thread that has
+    not started or has already finished is left alone.
+    """
+    if thread.ident is None or not thread.is_alive():
+        return
+    ctypes.pythonapi.PyThreadState_SetAsyncExc(
+        ctypes.c_ulong(thread.ident), ctypes.py_object(exception))
+
+
 class WatchdogTimer:
     """Deadline enforcement for worker *threads* (the runner satellite).
 
     SIGALRM only works on the main thread of a unix process.  This
     timer instead arms a daemon :class:`threading.Timer` that, on
-    expiry, asynchronously raises ``exception_type`` in the target
-    thread via ``PyThreadState_SetAsyncExc`` -- which interrupts
-    compute-bound Python code on any platform.  (A thread blocked in a
-    C call, e.g. ``time.sleep``, only sees the exception when it
-    returns to the interpreter; the pool-level deadline sweep is the
-    backstop for those.)
+    expiry, raises ``exception_type`` in the target thread through
+    :func:`async_raise`.  A thread blocked in a C call, e.g.
+    ``time.sleep``, only sees it when it returns to the interpreter;
+    the pool-level deadline sweep is the backstop for those.
     """
 
     def __init__(self, seconds: float, exception_type: type,
@@ -311,12 +323,7 @@ class WatchdogTimer:
 
     def _fire(self) -> None:
         self.fired = True
-        thread_id = self._thread.ident
-        if thread_id is None or not self._thread.is_alive():
-            return
-        ctypes.pythonapi.PyThreadState_SetAsyncExc(
-            ctypes.c_ulong(thread_id),
-            ctypes.py_object(self.exception_type))
+        async_raise(self._thread, self.exception_type)
 
     def start(self) -> "WatchdogTimer":
         """Arm the deadline."""
@@ -342,5 +349,6 @@ __all__ = [
     "Watchdog",
     "WatchdogConfig",
     "WatchdogTimer",
+    "async_raise",
     "progress_key",
 ]

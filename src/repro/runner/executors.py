@@ -51,16 +51,21 @@ class ExecutorBackend:
     Lifecycle: ``start(width)`` before the first submit, ``submit``
     per attempt, ``restart(width)`` if the substrate broke (a worker
     died hard enough to poison its siblings), ``shutdown`` at the end
-    of the wave.  ``parallel`` advertises whether concurrent submits
-    can overlap in time (the runner uses the event-driven sweep loop
-    only when they can).
+    of the wave.  ``parallel`` and ``max_workers`` set the width of
+    the runner's in-flight window: 1 when ``parallel`` is False,
+    otherwise the runner's ``jobs`` (at most the wave's misses),
+    capped by ``max_workers``.
     """
 
     #: Backend name (the CLI ``--executor`` spelling).
     name = "abstract"
 
-    #: Whether submitted attempts may execute concurrently.
+    #: Whether submitted attempts may execute concurrently; False
+    #: makes the runner keep one attempt in flight at a time.
     parallel = False
+
+    #: Cap on concurrent attempts (None: the runner's ``jobs``).
+    max_workers: int | None = None
 
     def start(self, width: int) -> None:
         """Provision capacity for up to ``width`` concurrent jobs."""
@@ -113,13 +118,15 @@ class ProcessPoolBackend(ExecutorBackend):
         self.max_workers = max_workers
         self.mp_start_method = mp_start_method
         self._pool: concurrent.futures.ProcessPoolExecutor | None = None
+        self._size = 0
 
     def _width(self, width: int) -> int:
         limit = self.max_workers or width
         return max(1, min(limit, width))
 
     def _make_pool(self, width: int):
-        kwargs = {"max_workers": self._width(width)}
+        self._size = self._width(width)
+        kwargs = {"max_workers": self._size}
         if self.mp_start_method is not None:
             import multiprocessing
 
@@ -128,7 +135,11 @@ class ProcessPoolBackend(ExecutorBackend):
         return concurrent.futures.ProcessPoolExecutor(**kwargs)
 
     def start(self, width: int) -> None:
-        if self._pool is None:
+        # A later wave may need more workers than the first one did;
+        # the old pool's workers drain on their own.
+        if self._pool is None or self._size < self._width(width):
+            if self._pool is not None:
+                self._pool.shutdown(wait=False)
             self._pool = self._make_pool(width)
 
     def submit(self, fn, /, *args) -> concurrent.futures.Future:

@@ -352,16 +352,32 @@ def _raise_timeout(signum, frame):
     raise JobTimeout()
 
 
+def failure_envelope(error_type: str, message: str, *,
+                     wall_time: float = 0.0, traceback: str = "",
+                     retryable: bool = True) -> dict:
+    """The ``"ok": False`` envelope of one failed attempt.
+
+    Every layer that turns a failed attempt into data -- :func:`invoke`,
+    the runner's pool sweep and crash recovery, the service and the
+    fleet worker -- builds it here.  ``retryable=False`` marks a
+    failure no retry can change (a bad configuration); the runner
+    then ends the job after that attempt.
+    """
+    return {"ok": False, "error_type": error_type, "message": message,
+            "traceback": traceback, "wall_time": wall_time,
+            "retryable": retryable}
+
+
 def invoke(job_fn, spec: RunSpec, timeout: float | None,
            cache_root, cache_salt) -> dict:
     """Pool entry point: run ``job_fn(spec, cache)`` under a hard
     per-job timeout and map every outcome to a picklable envelope.
 
-    Returns ``{"ok": True, "artifact": ..., "wall_time": ...}`` or
-    ``{"ok": False, "error_type": ..., "message": ...,
-    "traceback": ..., "wall_time": ...}``.  Never raises: exceptions
-    (and their tracebacks) travel as data so an exotic unpicklable
-    error cannot wedge the executor.
+    Returns ``{"ok": True, "artifact": ..., "wall_time": ...}`` or a
+    :func:`failure_envelope`.  Never raises: exceptions (and their
+    tracebacks) travel as data so an exotic unpicklable error cannot
+    wedge the executor.  A :class:`~repro.errors.ConfigurationError`
+    is deterministic, so its envelope is marked not retryable.
     """
     from repro.runner.cache import ResultCache
 
@@ -392,21 +408,15 @@ def invoke(job_fn, spec: RunSpec, timeout: float | None,
         return {"ok": True, "artifact": artifact,
                 "wall_time": time.perf_counter() - started}
     except JobTimeout:
-        return {
-            "ok": False,
-            "error_type": "JobTimeout",
-            "message": f"job exceeded its {timeout:g}s budget",
-            "traceback": "",
-            "wall_time": time.perf_counter() - started,
-        }
+        return failure_envelope(
+            "JobTimeout", f"job exceeded its {timeout:g}s budget",
+            wall_time=time.perf_counter() - started)
     except BaseException as error:  # noqa: BLE001 -- envelope, not loss
-        return {
-            "ok": False,
-            "error_type": type(error).__name__,
-            "message": str(error),
-            "traceback": traceback.format_exc(),
-            "wall_time": time.perf_counter() - started,
-        }
+        return failure_envelope(
+            type(error).__name__, str(error),
+            wall_time=time.perf_counter() - started,
+            traceback=traceback.format_exc(),
+            retryable=not isinstance(error, ConfigurationError))
     finally:
         if alarm_set:
             signal.setitimer(signal.ITIMER_REAL, 0)

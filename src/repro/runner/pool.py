@@ -11,26 +11,36 @@ to a terminal state:
 3. **Waves** -- jobs with dependencies (a replay needs its recording)
    run after their dependencies, so N replays of one recording share
    one record job through the cache instead of each recomputing it.
-4. **Execute** -- misses are submitted to a pluggable
+4. **Execute** -- misses run on a pluggable
    :class:`~repro.runner.executors.ExecutorBackend`:
    :class:`~repro.runner.executors.InlineBackend` (the serial
-   baseline, same code path for cache and retry),
+   baseline, and the fast path for a wave with a single miss),
    :class:`~repro.runner.executors.ProcessPoolBackend` (``jobs > 1``)
    or :class:`~repro.runner.executors.RemoteWorkerBackend` (the serve
    layer's lease-based worker fleet, with a local fallback pool it
-   degrades to when no worker heartbeats).  Each attempt runs under a per-job
-   wall-clock timeout enforced *inside* the worker (SIGALRM on a unix
-   main thread, an async-raise watchdog timer elsewhere), so a hung
-   simulation turns into a structured timeout failure rather than a
-   stuck pool.  A pool-side deadline sweep backstops both: attempts
-   still pending past :func:`sweep_deadline` are abandoned and fed
-   through the normal retry path, so even a worker wedged in C code
-   cannot stall the sweep.
+   degrades to when no worker heartbeats).  One attempt loop drives
+   every backend.  It keeps at most ``width`` attempts in flight: 1
+   on a backend that is not ``parallel``, otherwise ``min(jobs,
+   misses)`` capped by the backend's ``max_workers``.  An attempt is
+   submitted only when a slot is free, so on the inline backend the
+   loop runs one job to its end before the next starts.  Each attempt
+   runs under a per-job wall-clock timeout enforced *inside* the
+   worker (SIGALRM on a unix main thread, an async-raise watchdog
+   timer elsewhere), so a hung simulation turns into a structured
+   timeout failure rather than a stuck pool.  A deadline sweep
+   backstops both: the loop notes :func:`sweep_deadline` when it
+   submits an attempt -- when the attempt gets a worker, not while it
+   waits for one -- and abandons an attempt still pending past it,
+   feeding it through the normal retry path, so even a worker wedged
+   in C code cannot stall the sweep.  The abandoned worker stays busy
+   until it returns; the window does not wait for it.
 5. **Retry** -- failed attempts (exceptions, timeouts, a crashed
    worker process) are retried with exponential backoff under a
-   :class:`~repro.runner.retry.RetryPolicy`; a job that exhausts its
-   budget yields a :class:`~repro.runner.retry.FailureRecord` and the
-   sweep continues.
+   :class:`~repro.runner.retry.RetryPolicy`; a job waiting out its
+   backoff gives up its slot.  A failure its envelope marks not
+   retryable (a bad configuration) ends the job at once.  A job that
+   exhausts its budget yields a
+   :class:`~repro.runner.retry.FailureRecord` and the sweep continues.
 
 Progress and counters flow through a pluggable
 :class:`~repro.runner.reporting.Reporter`.
@@ -38,11 +48,12 @@ Progress and counters flow through a pluggable
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import os
 import time
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.errors import ReproError
 from repro.runner import jobs as jobs_module
@@ -98,6 +109,18 @@ class JobOutcome:
     def ok(self) -> bool:
         """Whether the job produced an artifact."""
         return self.artifact is not None
+
+
+@dataclass
+class _JobState:
+    """One miss's progress through its attempts."""
+
+    spec: RunSpec
+    attempt: int = 1
+    failures: list[AttemptFailure] = field(default_factory=list)
+    started: float | None = None     # monotonic, first submit
+    submitted: float = 0.0           # monotonic, latest submit
+    last_delay: float | None = None  # previous backoff, for jitter
 
 
 def default_jobs() -> int:
@@ -235,239 +258,160 @@ class Runner:
                 misses.append(spec)
         if not misses:
             return
-        serial = self.jobs == 1 or len(misses) == 1
         backend = self._backend
-        if serial and not self._explicit_backend:
-            backend = self._inline  # historical single-job fast path
-        if backend.parallel and not serial:
-            self._run_pooled(misses, outcomes, backend)
-        else:
-            backend.start(1)
-            for spec in misses:
-                outcomes[spec.content_hash()] = \
-                    self._run_serial(spec, backend)
+        if ((self.jobs == 1 or len(misses) == 1)
+                and not self._explicit_backend):
+            backend = self._inline  # no pool startup for one job
+        self._execute(misses, outcomes, backend)
 
     # -- execution ------------------------------------------------------
 
-    @property
-    def _cache_args(self) -> tuple:
-        if self.cache is None:
-            return (None, None)
-        return (str(self.cache.root), self.cache.salt)
+    def _width(self, backend: ExecutorBackend, misses: int) -> int:
+        """How many attempts may be in flight at once."""
+        if not backend.parallel:
+            return 1
+        width = min(self.jobs, misses)
+        if backend.max_workers:
+            width = min(width, backend.max_workers)
+        return width
 
-    def _finish_success(self, spec, envelope, attempt) -> JobOutcome:
-        artifact = envelope["artifact"]
-        if self.cache is not None:
-            self.cache.store(spec, artifact)
-        self.metrics.done += 1
-        self.metrics.running -= 1
-        self.metrics.job_wall_times.append(envelope["wall_time"])
-        outcome = JobOutcome(spec=spec, artifact=artifact,
-                             attempts=attempt,
-                             wall_time=envelope["wall_time"])
-        self.reporter.on_job_done(
-            spec, from_cache=False, wall_time=envelope["wall_time"],
-            metrics=self.metrics)
-        return outcome
-
-    def _finish_failure(self, spec, failures,
-                        started: float | None = None) -> JobOutcome:
-        elapsed = (time.monotonic() - started
-                   if started is not None else 0.0)
-        record = FailureRecord(spec=spec, attempts=list(failures),
-                               total_elapsed=elapsed)
-        self.metrics.failed += 1
-        self.metrics.running -= 1
-        self.reporter.on_job_failed(spec, record.last.brief(),
-                                    self.metrics)
-        return JobOutcome(spec=spec, failure=record,
-                          attempts=len(failures),
-                          wall_time=elapsed)
-
-    def _attempt_failure(self, envelope, attempt) -> AttemptFailure:
-        return AttemptFailure(
-            attempt=attempt,
-            error_type=envelope["error_type"],
-            message=envelope["message"],
-            traceback=envelope.get("traceback", ""),
-            wall_time=envelope.get("wall_time", 0.0),
-        )
-
-    def _retry_delay(self, spec, attempt,
-                     previous_delay: float | None) -> float:
-        return self.retry.delay(
-            attempt, previous_delay=previous_delay,
-            rng=self.retry.attempt_rng(spec.content_hash(), attempt))
-
-    def _submit_attempt(self, backend, spec):
-        return backend.submit(
-            jobs_module.invoke, self.job_fn, spec, self.timeout,
-            *self._cache_args)
-
-    @staticmethod
-    def _error_envelope(error_type: str, message: str,
-                        wall_time: float = 0.0) -> dict:
-        return {"ok": False, "error_type": error_type,
-                "message": message, "traceback": "",
-                "wall_time": wall_time}
-
-    def _run_serial(self, spec: RunSpec, backend) -> JobOutcome:
-        """Drive one spec to a terminal state, one blocking attempt at
-        a time, through ``backend``."""
-        self.metrics.queued -= 1
-        self.metrics.running += 1
-        failures: list[AttemptFailure] = []
-        started = time.monotonic()
-        last_delay: float | None = None
+    def _execute(self, misses, outcomes, backend) -> None:
+        """Drive every miss to a terminal state through ``backend``,
+        keeping at most :meth:`_width` attempts in flight."""
+        width = self._width(backend, len(misses))
         budget = sweep_deadline(self.timeout) if self.timeout else None
-        for attempt in range(1, self.retry.max_attempts + 1):
-            self.reporter.on_job_start(spec, attempt)
-            future = self._submit_attempt(backend, spec)
-            try:
-                envelope = future.result(timeout=budget)
-            except BrokenProcessPool:
-                backend.restart(1)
-                envelope = self._error_envelope(
-                    "BrokenProcessPool", "worker process died")
-            except concurrent.futures.TimeoutError:
-                # Wedged below Python: abandon the attempt (the worker
-                # keeps its slot until it returns) and fail fast.
-                future.cancel()
-                self.metrics.swept += 1
-                envelope = self._error_envelope(
-                    "JobTimeout",
-                    f"job missed its {self.timeout:g}s deadline "
-                    f"(pool sweep)",
-                    wall_time=time.monotonic() - started)
-            except BaseException as error:  # noqa: BLE001
-                envelope = self._error_envelope(
-                    type(error).__name__, str(error))
-            if envelope["ok"]:
-                return self._finish_success(spec, envelope, attempt)
-            failures.append(self._attempt_failure(envelope, attempt))
-            if self.retry.should_retry(attempt,
-                                       time.monotonic() - started):
-                delay = self._retry_delay(spec, attempt, last_delay)
-                last_delay = delay
+        cache_args = ((None, None) if self.cache is None
+                      else (str(self.cache.root), self.cache.salt))
+        ready = collections.deque(_JobState(spec) for spec in misses)
+        pending: dict = {}     # future -> _JobState
+        deadlines: dict = {}   # future -> monotonic sweep deadline
+        backoff: list = []     # (monotonic due time, _JobState)
+
+        def submit(job: _JobState) -> None:
+            job.submitted = time.monotonic()
+            if job.started is None:
+                job.started = job.submitted
+                self.metrics.queued -= 1
+                self.metrics.running += 1
+            self.reporter.on_job_start(job.spec, job.attempt)
+            future = backend.submit(jobs_module.invoke, self.job_fn,
+                                    job.spec, self.timeout, *cache_args)
+            pending[future] = job
+            if budget is not None:
+                deadlines[future] = job.submitted + budget
+
+        def fail(job: _JobState, envelope: dict) -> None:
+            failure = AttemptFailure(
+                attempt=job.attempt,
+                error_type=envelope["error_type"],
+                message=envelope["message"],
+                traceback=envelope.get("traceback", ""),
+                wall_time=envelope.get("wall_time", 0.0))
+            job.failures.append(failure)
+            if (envelope.get("retryable", True)
+                    and self.retry.should_retry(
+                        job.attempt, time.monotonic() - job.started)):
+                delay = self.retry.delay(
+                    job.attempt, previous_delay=job.last_delay,
+                    rng=self.retry.attempt_rng(job.spec.content_hash(),
+                                               job.attempt))
+                job.last_delay = delay
                 self.metrics.retries += 1
-                self.reporter.on_retry(spec, attempt, delay,
-                                       failures[-1].brief())
-                time.sleep(delay)
+                self.reporter.on_retry(job.spec, job.attempt, delay,
+                                       failure.brief())
+                job.attempt += 1
+                backoff.append((time.monotonic() + delay, job))
             else:
-                break
-        return self._finish_failure(spec, failures, started)
+                outcomes[job.spec.content_hash()] = \
+                    self._finish_failure(job)
 
-    def _run_pooled(self, misses, outcomes, backend) -> None:
-        backend.start(len(misses))
-        # future -> (spec, attempt, failures, started, last_delay)
-        pending: dict = {}
-        # future -> monotonic sweep deadline for that attempt
-        deadlines: dict = {}
-        # (due_time, spec, attempt, failures, started, last_delay)
-        retry_at: list = []
-
-        def submit(spec, attempt, failures, started, last_delay):
-            self.reporter.on_job_start(spec, attempt)
-            future = self._submit_attempt(backend, spec)
-            pending[future] = (spec, attempt, failures, started,
-                               last_delay)
-            if self.timeout:
-                deadlines[future] = (time.monotonic()
-                                     + sweep_deadline(self.timeout))
-
-        def resolve_failure(spec, attempt, failures, started,
-                            last_delay, envelope):
-            failures.append(self._attempt_failure(envelope, attempt))
-            if self.retry.should_retry(attempt,
-                                       time.monotonic() - started):
-                delay = self._retry_delay(spec, attempt, last_delay)
-                self.metrics.retries += 1
-                self.reporter.on_retry(spec, attempt, delay,
-                                       failures[-1].brief())
-                retry_at.append((time.monotonic() + delay, spec,
-                                 attempt + 1, failures, started,
-                                 delay))
-            else:
-                outcomes[spec.content_hash()] = \
-                    self._finish_failure(spec, failures, started)
-
-        for spec in misses:
-            self.metrics.queued -= 1
-            self.metrics.running += 1
-            submit(spec, 1, [], time.monotonic(), None)
-        while pending or retry_at:
+        backend.start(width)
+        while ready or pending or backoff:
             now = time.monotonic()
-            due = [entry for entry in retry_at if entry[0] <= now]
-            retry_at = [entry for entry in retry_at
-                        if entry[0] > now]
-            for (_, spec, attempt, failures, started,
-                 last_delay) in due:
-                submit(spec, attempt, failures, started,
-                       last_delay)
+            # Retries whose backoff ran out go ahead of jobs that have
+            # not started yet.
+            ready.extendleft(reversed(
+                [job for due, job in backoff if due <= now]))
+            backoff[:] = [entry for entry in backoff if entry[0] > now]
+            while ready and len(pending) < width:
+                submit(ready.popleft())
+            wake = [due for due, _ in backoff] + list(deadlines.values())
+            timeout = (max(0.0, min(wake) - time.monotonic())
+                       if wake else None)
             if not pending:
-                time.sleep(min(0.05,
-                               max(0.0, retry_at[0][0] - now)))
+                time.sleep(timeout)
                 continue
             done, _ = concurrent.futures.wait(
-                pending, timeout=0.05,
+                pending, timeout=timeout,
                 return_when=concurrent.futures.FIRST_COMPLETED)
             for future in done:
-                entry = pending.pop(future, None)
+                job = pending.pop(future, None)
                 deadlines.pop(future, None)
-                if entry is None:
-                    # A pool break earlier in this batch already
-                    # cleared pending and resubmitted this job on
-                    # the fresh substrate (or the deadline sweep
-                    # abandoned it); the stale future carries
-                    # nothing we still need.
+                if job is None:
+                    # A pool break earlier in this batch already moved
+                    # this job back to ``ready``; the stale future
+                    # carries nothing we still need.
                     continue
-                spec, attempt, failures, started, last_delay = \
-                    entry
                 try:
                     envelope = future.result()
                 except BrokenProcessPool:
                     # The worker died hard (SIGKILL, segfault,
                     # os._exit).  Every sibling future on this
-                    # substrate is poisoned; rebuild it and
-                    # resubmit the survivors.
-                    envelope = self._error_envelope(
+                    # substrate is poisoned; rebuild it and resubmit
+                    # the survivors at their current attempt.
+                    envelope = jobs_module.failure_envelope(
                         "BrokenProcessPool", "worker process died")
-                    backend.restart(len(pending) + len(retry_at) + 1)
-                    survivors = list(pending.items())
+                    backend.restart(width)
+                    ready.extendleft(reversed(list(pending.values())))
                     pending.clear()
                     deadlines.clear()
-                    for _, (s_spec, s_attempt, s_failures,
-                            s_started, s_delay) in survivors:
-                        submit(s_spec, s_attempt, s_failures,
-                               s_started, s_delay)
-                except BaseException as error:  # noqa: BLE001
-                    envelope = self._error_envelope(
+                except Exception as error:  # noqa: BLE001
+                    envelope = jobs_module.failure_envelope(
                         type(error).__name__, str(error))
                 if envelope["ok"]:
-                    outcomes[spec.content_hash()] = \
-                        self._finish_success(spec, envelope,
-                                             attempt)
-                    continue
-                resolve_failure(spec, attempt, failures, started,
-                                last_delay, envelope)
+                    outcomes[job.spec.content_hash()] = \
+                        self._finish_success(job, envelope)
+                else:
+                    fail(job, envelope)
             # Deadline sweep: an attempt that outlived both the
             # in-worker enforcement and the sweep margin is wedged
-            # below Python (C-level blocking); abandon its future
-            # -- the worker keeps its slot until it returns, but
-            # the job itself fails fast through the normal retry
-            # path instead of stalling the sweep forever.
-            for future in overdue_futures(pending, deadlines,
-                                          time.monotonic()):
-                spec, attempt, failures, started, last_delay = \
-                    pending.pop(future)
-                deadlines.pop(future, None)
+            # below Python (C-level blocking).  Abandon its future so
+            # the job fails fast through the normal retry path.
+            now = time.monotonic()
+            for future in overdue_futures(pending, deadlines, now):
+                job = pending.pop(future)
+                deadlines.pop(future)
                 future.cancel()
                 self.metrics.swept += 1
-                resolve_failure(spec, attempt, failures, started,
-                                last_delay, self._error_envelope(
-                                    "JobTimeout",
-                                    f"job missed its "
-                                    f"{self.timeout:g}s "
-                                    f"deadline (pool sweep)",
-                                    wall_time=(time.monotonic()
-                                               - started)))
+                fail(job, jobs_module.failure_envelope(
+                    "JobTimeout",
+                    f"job missed its {self.timeout:g}s deadline "
+                    f"(pool sweep)",
+                    wall_time=now - job.submitted))
+
+    def _finish_success(self, job: _JobState,
+                        envelope: dict) -> JobOutcome:
+        artifact = envelope["artifact"]
+        if self.cache is not None:
+            self.cache.store(job.spec, artifact)
+        self.metrics.done += 1
+        self.metrics.running -= 1
+        self.metrics.job_wall_times.append(envelope["wall_time"])
+        self.reporter.on_job_done(
+            job.spec, from_cache=False, wall_time=envelope["wall_time"],
+            metrics=self.metrics)
+        return JobOutcome(spec=job.spec, artifact=artifact,
+                          attempts=job.attempt,
+                          wall_time=envelope["wall_time"])
+
+    def _finish_failure(self, job: _JobState) -> JobOutcome:
+        elapsed = time.monotonic() - job.started
+        record = FailureRecord(spec=job.spec, attempts=job.failures,
+                               total_elapsed=elapsed)
+        self.metrics.failed += 1
+        self.metrics.running -= 1
+        self.reporter.on_job_failed(job.spec, record.last.brief(),
+                                    self.metrics)
+        return JobOutcome(spec=job.spec, failure=record,
+                          attempts=len(job.failures),
+                          wall_time=elapsed)

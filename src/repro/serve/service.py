@@ -283,21 +283,17 @@ class ReproService:
                 envelope = future.result(timeout=deadline)
         except FutureTimeout:
             future.cancel()
-            envelope = {
-                "ok": False, "error_type": "JobTimeout",
-                "message": f"job missed its {timeout:g}s deadline "
-                           f"(serve sweep)",
-                "wall_time": timeout or 0.0}
+            envelope = jobs_module.failure_envelope(
+                "JobTimeout",
+                f"job missed its {timeout:g}s deadline (serve sweep)",
+                wall_time=timeout or 0.0)
         except BrokenProcessPool:
             self.backend.restart(self.jobs)
-            envelope = {
-                "ok": False, "error_type": "BrokenProcessPool",
-                "message": "worker process died mid-job",
-                "wall_time": 0.0}
+            envelope = jobs_module.failure_envelope(
+                "BrokenProcessPool", "worker process died mid-job")
         except BaseException as error:  # noqa: BLE001 -- terminal state
-            envelope = {
-                "ok": False, "error_type": type(error).__name__,
-                "message": str(error), "wall_time": 0.0}
+            envelope = jobs_module.failure_envelope(
+                type(error).__name__, str(error))
         if envelope["ok"]:
             artifact = envelope["artifact"]
             if not envelope.get("from_cache"):

@@ -40,7 +40,6 @@ enough for a fleet, stable enough to read in logs.
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
 import os
 import signal
@@ -49,6 +48,7 @@ import threading
 import time
 
 from repro.errors import ServeError
+from repro.guard.watchdog import async_raise
 from repro.runner import jobs as jobs_module
 from repro.runner.cache import encode_artifact
 from repro.runner.retry import RetryPolicy, retrying_call
@@ -70,16 +70,6 @@ class _Transient(Exception):
 
 def default_worker_id() -> str:
     return f"{socket.gethostname()}-{os.getpid()}"
-
-
-def _abort_thread(thread: threading.Thread, exception: type) -> None:
-    """Asynchronously raise ``exception`` in ``thread`` (the same
-    ``PyThreadState_SetAsyncExc`` mechanism as the guard's watchdog
-    timer, fired on demand instead of on a clock)."""
-    if thread.ident is None or not thread.is_alive():
-        return
-    ctypes.pythonapi.PyThreadState_SetAsyncExc(
-        ctypes.c_ulong(thread.ident), ctypes.py_object(exception))
 
 
 class ServeWorker:
@@ -221,16 +211,15 @@ class ServeWorker:
                                           lease):
             # Lease lost mid-run: abandon without uploading; the
             # requeue sweep owns the job now.
-            _abort_thread(thread, LeaseLost)
+            async_raise(thread, LeaseLost)
             thread.join(timeout=5.0)
             self.abandoned += 1
             self._log(f"abandoned {job['id']} (lease lost)")
             return
         envelope = box.get("envelope")
         if envelope is None:  # executor died without an envelope
-            envelope = {"ok": False, "error_type": "WorkerError",
-                        "message": "execution thread produced no "
-                                   "envelope", "wall_time": 0.0}
+            envelope = jobs_module.failure_envelope(
+                "WorkerError", "execution thread produced no envelope")
         self._upload(job, lease_id, envelope)
 
     def _heartbeat_until_done(self, thread, job, lease_id,

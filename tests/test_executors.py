@@ -94,6 +94,19 @@ class TestProcessPoolLifecycle:
         assert backend.submit(int, "7").result(timeout=60) == 7
         backend.shutdown()
 
+    def test_start_grows_the_pool_for_a_wider_wave(self):
+        # The runner's window must not outgrow the pool, or attempts
+        # would queue for a worker with their sweep clocks running.
+        backend = ProcessPoolBackend(max_workers=3)
+        backend.start(1)
+        first = backend._pool
+        backend.start(1)
+        assert backend._pool is first
+        backend.start(5)
+        assert backend._pool is not first and backend._size == 3
+        assert backend.submit(int, "9").result(timeout=60) == 9
+        backend.shutdown()
+
     def test_submit_without_start_self_provisions(self):
         backend = ProcessPoolBackend(max_workers=1)
         assert backend.submit(int, "5").result(timeout=60) == 5

@@ -219,6 +219,22 @@ class TestHunting:
         assert all(r.outcome in EXPLORE_OUTCOMES
                    for r in report.results)
 
+    def test_setup_error_is_an_error_not_a_stall(self, tmp_path):
+        from repro.telemetry import EventTracer
+
+        tracer = EventTracer()
+        report = run_exploration("racey", ExecutionMode.ORDER_ONLY,
+                                 budget=1, tracer=tracer)
+        assert [(r.outcome, r.classification)
+                for r in report.results] == \
+            [("error", "job-ConfigurationError")]
+        assert not report.clean
+        assert "1 error" in report.summary()
+        assert tracer.metrics.as_dict()["explore_errors"] == 1
+        back = read_explore_report(report.write_jsonl(
+            tmp_path / "camp.jsonl"))
+        assert back.outcome_counts()["error"] == 1
+
     def test_telemetry_counters(self):
         from repro.telemetry import EventTracer
 

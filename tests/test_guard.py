@@ -527,6 +527,12 @@ def _stubborn_job(spec, cache=None):
     return {"schema": 1}
 
 
+def _just_in_time_job(spec, cache=None):
+    # Needs 0.45 s of a 0.5 s budget.
+    time.sleep(0.45)
+    return {"schema": 1, "spec_hash": spec.content_hash()}
+
+
 class TestRunnerDeadlines:
     def test_sweep_deadline_adds_margin(self):
         assert sweep_deadline(10.0) == 15.0
@@ -579,6 +585,24 @@ class TestRunnerDeadlines:
             assert outcome.failure.last.error_type == "JobTimeout"
             assert "pool sweep" in outcome.failure.last.message
         assert runner.metrics.swept == 2
+
+    def test_sweep_clock_starts_when_the_attempt_gets_a_worker(self):
+        # Eight 0.45 s jobs on two workers: the last pair gets a
+        # worker about 1.35 s in.  A sweep clock started while it
+        # waited (1.5 s budget) would expire before it finishes.  The
+        # retry only absorbs a late in-worker alarm on a loaded host;
+        # the sweep count is what this pins.
+        specs = [RunSpec.record("fft", ExecutionMode.ORDER_ONLY,
+                                scale=0.05, seed=seed)
+                 for seed in range(8)]
+        runner = Runner(jobs=2, cache=False, timeout=0.5,
+                        retry=RetryPolicy(max_attempts=2,
+                                          backoff_base=0.01,
+                                          backoff_max=0.01),
+                        job_fn=_just_in_time_job)
+        outcomes = runner.run(specs)
+        assert all(outcome.ok for outcome in outcomes)
+        assert runner.metrics.swept == 0
 
 
 class TestWatchdogTimer:

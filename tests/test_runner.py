@@ -227,6 +227,7 @@ class TestJobs:
 class _Events(Reporter):
     def __init__(self):
         self.started = 0
+        self.order = []
         self.done = []
         self.retries = []
         self.failed = []
@@ -235,7 +236,11 @@ class _Events(Reporter):
     def on_start(self, total_jobs):
         self.started = total_jobs
 
+    def on_job_start(self, spec, attempt):
+        self.order.append(("start", spec.label()))
+
     def on_job_done(self, spec, *, from_cache, wall_time, metrics):
+        self.order.append(("done", spec.label()))
         self.done.append((spec.label(), from_cache))
 
     def on_retry(self, spec, attempt, delay, error):
@@ -278,6 +283,18 @@ class TestRunnerSuccess:
         rerun_outcomes = rerun.run(specs)
         assert all(outcome.from_cache for outcome in rerun_outcomes)
         assert rerun.metrics.cache_hit_rate == 1.0
+
+    def test_inline_sweep_runs_one_job_at_a_time(self, tmp_path):
+        # One slot in flight: a job finishes before the next starts.
+        events = _Events()
+        runner = Runner(jobs=1, cache=fresh_cache(tmp_path),
+                        reporter=events)
+        first, second = record_spec(app="fft"), record_spec(app="lu")
+        assert all(o.ok for o in runner.run([first, second]))
+        assert events.order == [("start", first.label()),
+                                ("done", first.label()),
+                                ("start", second.label()),
+                                ("done", second.label())]
 
     def test_replay_wave_reuses_cached_record(self, tmp_path):
         cache = fresh_cache(tmp_path)
@@ -353,6 +370,17 @@ class TestRunnerFailure:
         assert "synthetic job failure" in record.summary()
         assert events.retries and events.failed
         assert runner.metrics.failed == 1
+
+    def test_configuration_error_is_not_retried(self):
+        # A bad configuration fails the same way on every attempt.
+        events = _Events()
+        runner = Runner(jobs=1, cache=False, reporter=events)
+        outcome = runner.run([RunSpec.record(
+            "racey", ExecutionMode.ORDER_ONLY, scale=SCALE)])[0]
+        assert not outcome.ok
+        assert outcome.attempts == 1
+        assert outcome.failure.error_type == "ConfigurationError"
+        assert runner.metrics.retries == 0 and not events.retries
 
     def test_run_one_raises_runner_error(self, tmp_path):
         runner = Runner(jobs=1, cache=fresh_cache(tmp_path),
